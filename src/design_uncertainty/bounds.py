@@ -11,24 +11,35 @@ as functions of the rescaled index of coincidence beta_n:
                   valid for alpha >= t, equal to bound_prop1 at alpha = inf.
 
 Landau-Pollak style caps bound the average maximal probability from above by
-Y(n, t, beta_n).  audit_state evaluates everything for a concrete state and
-checks the actual entropies against the bounds.
+Y(n, t, beta_n).  audit_states evaluates everything for a stack of states
+and checks the actual entropies against the bounds; audit_state is its view
+on one state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import PovmAssignment, all_outcome_probabilities
-from .entropy import renyi_entropy
-from .moments import beta_parameters, beta_range
-from .quantum import power_moments
-from .upsilon import upsilon, upsilon_nr1
+from .designs import (PovmAssignment, all_outcome_probabilities,
+                      outcome_probability_batch)
+from .entropy import renyi_entropies
+from .moments import (beta_parameters, beta_range, betas_from_power_sums,
+                      check_index_identity)
+from .quantum import power_sums
+from .upsilon import (upsilon, upsilon_array, upsilon_nr1,
+                      upsilon_nr1_array)
 
 SAT_ATOL = 1e-9
+
+
+def _alpha_ok(actual, prior, prop1, prop2):
+    """Whether the actual entropy clears every bound valid at its alpha,
+    element-wise.  bound_prop1 is valid at every alpha, because
+    H_alpha >= H_inf >= -ln Y."""
+    return actual >= np.maximum(np.maximum(prior, prop2), prop1) - 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,7 +52,8 @@ class AlphaBounds:
 
     @property
     def satisfied(self) -> bool:
-        return self.actual >= max(self.bound_prior, self.bound_prop2) - 1e-10
+        return bool(_alpha_ok(self.actual, self.bound_prior,
+                              self.bound_prop1, self.bound_prop2))
 
 
 @dataclass(frozen=True)
@@ -67,24 +79,101 @@ class BoundReport:
                 and self.max_prob_actual <= self.max_prob_cap + 1e-10)
 
 
+@dataclass(frozen=True, eq=False)
+class AuditBatch:
+    """audit_states for N states and A alphas: the fields of BoundReport as
+    arrays, indexed by state first and alpha last.  Arrays do not compare
+    as a whole, so neither does a batch."""
+
+    dimension: int
+    design_size: int
+    n_outcomes: int
+    n_povms: int
+    order: int
+    alphas: tuple
+    beta_n: np.ndarray            # (N,)
+    beta: np.ndarray              # (N,)
+    beta_m: np.ndarray            # (N, M)
+    purity: np.ndarray            # (N,)
+    actual: np.ndarray            # (N, A) average alpha-entropies
+    bound_prior: np.ndarray       # (N, A)
+    bound_prop1: np.ndarray       # (N,)
+    bound_prop1_nr: np.ndarray    # (N,)
+    bound_prop2: np.ndarray       # (N, A)
+    max_prob_actual: np.ndarray   # (N,)
+    max_prob_cap: np.ndarray      # (N,)
+    jensen_ok: np.ndarray         # (N,) bool
+    saturated: np.ndarray         # (N,) bool
+
+    @property
+    def satisfied(self) -> np.ndarray:
+        """(N, A) AlphaBounds.satisfied of every state and alpha."""
+        return _alpha_ok(self.actual, self.bound_prior,
+                         self.bound_prop1[:, None], self.bound_prop2)
+
+    @property
+    def all_satisfied(self) -> np.ndarray:
+        """(N,) BoundReport.all_satisfied of every state."""
+        return (np.all(self.satisfied, axis=1)
+                & (self.max_prob_actual <= self.max_prob_cap + 1e-10))
+
+    def report(self, i: int) -> BoundReport:
+        """The BoundReport of state i."""
+        per_alpha = {
+            alpha: AlphaBounds(
+                actual=float(self.actual[i, a]),
+                bound_prior=float(self.bound_prior[i, a]),
+                bound_prop1=float(self.bound_prop1[i]),
+                bound_prop1_nr=float(self.bound_prop1_nr[i]),
+                bound_prop2=float(self.bound_prop2[i, a]))
+            for a, alpha in enumerate(self.alphas)}
+        return BoundReport(
+            dimension=self.dimension, design_size=self.design_size,
+            n_outcomes=self.n_outcomes, n_povms=self.n_povms,
+            order=self.order, beta_n=float(self.beta_n[i]),
+            beta=float(self.beta[i]),
+            beta_m=tuple(float(b) for b in self.beta_m[i]),
+            purity=float(self.purity[i]), per_alpha=per_alpha,
+            max_prob_actual=float(self.max_prob_actual[i]),
+            max_prob_cap=float(self.max_prob_cap[i]),
+            jensen_ok=bool(self.jensen_ok[i]),
+            saturated=bool(self.saturated[i]))
+
+
+def _check_alpha(t: int, alpha) -> None:
+    if not math.isinf(alpha) and alpha < t:
+        raise ValueError(f"bound needs alpha >= t, got alpha={alpha}, t={t}")
+
+
+def _prior(t: int, beta_n, alpha):
+    if math.isinf(alpha):
+        return -np.log(beta_n) / t
+    return alpha * np.log(beta_n) / (t * (1.0 - alpha))
+
+
+def _prop2(t: int, alpha, beta_n, y):
+    """bound_prop2 from the root y = Y(n, t, beta_n)."""
+    if math.isinf(alpha):
+        return -np.log(y)
+    return -(alpha - t) / (alpha - 1.0) * np.log(y) \
+        - np.log(beta_n) / (alpha - 1.0)
+
+
 def bound_prior(n: int, t: int, beta_n: float, alpha) -> float:
     """Baseline lower bound on the average alpha-entropy, alpha >= t."""
-    if not math.isinf(alpha) and alpha < t:
-        raise ValueError(f"baseline bound needs alpha >= t, got alpha={alpha}, t={t}")
-    if math.isinf(alpha):
-        return -math.log(beta_n) / t
-    return alpha * math.log(beta_n) / (t * (1.0 - alpha))
+    _check_alpha(t, alpha)
+    return float(_prior(t, beta_n, alpha))
 
 
 def bound_prop1(n: int, t: int, beta_n: float) -> float:
     """Min-entropy bound -ln Y(n, t, beta_n)."""
-    return -math.log(upsilon(n, t, beta_n).value)
+    return float(-np.log(upsilon(n, t, beta_n).value))
 
 
 def bound_prop1_nr(n: int, t: int, beta_n: float) -> float:
     """Analytic one-Newton-step min-entropy bound; between the baseline and
     bound_prop1."""
-    return -math.log(upsilon_nr1(n, t, beta_n))
+    return float(-np.log(upsilon_nr1(n, t, beta_n)))
 
 
 def bound_prop2(n: int, t: int, alpha, beta_n: float) -> float:
@@ -92,11 +181,32 @@ def bound_prop2(n: int, t: int, alpha, beta_n: float) -> float:
     to bound_prop1 at alpha = inf."""
     if math.isinf(alpha):
         return bound_prop1(n, t, beta_n)
-    if alpha < t:
-        raise ValueError(f"bound needs alpha >= t, got alpha={alpha}, t={t}")
-    y = upsilon(n, t, beta_n).value
-    return -(alpha - t) / (alpha - 1.0) * math.log(y) \
-        - math.log(beta_n) / (alpha - 1.0)
+    _check_alpha(t, alpha)
+    return float(_prop2(t, alpha, beta_n, upsilon(n, t, beta_n).value))
+
+
+@dataclass(frozen=True, eq=False)
+class BoundCurves:
+    """The bounds over an array of beta_n, each with the shape of beta_n."""
+
+    bound_prior: np.ndarray       # at alpha = inf
+    bound_prop1: np.ndarray
+    bound_prop1_nr: np.ndarray
+    bound_prop2: tuple            # one array per alpha
+
+
+def bound_curves(n: int, t: int, betas, alphas) -> BoundCurves:
+    """bound_prior at alpha = inf, bound_prop1, bound_prop1_nr and
+    bound_prop2 at each alpha over an array of beta_n, from one array root
+    solve."""
+    for alpha in alphas:
+        _check_alpha(t, alpha)
+    betas = np.asarray(betas, dtype=float)
+    y = upsilon_array(n, t, betas).value
+    return BoundCurves(
+        bound_prior=_prior(t, betas, math.inf), bound_prop1=-np.log(y),
+        bound_prop1_nr=-np.log(upsilon_nr1_array(n, t, betas)),
+        bound_prop2=tuple(_prop2(t, alpha, betas, y) for alpha in alphas))
 
 
 def state_independent_bound(n: int, d: int, t: int, alpha) -> float:
@@ -125,44 +235,60 @@ def mub_min_bound(purity: float) -> float:
     return math.log(2.0 * math.sqrt(3.0) / (math.sqrt(3.0) + root))
 
 
-def audit_state(assignment: PovmAssignment, rho, alphas, s: int | None = None
-                ) -> BoundReport:
-    """Evaluate actual entropies and every bound for one state.
+def audit_states(assignment: PovmAssignment, rhos, alphas,
+                 s: int | None = None) -> AuditBatch:
+    """Evaluate actual entropies and every bound for a stack of states.
 
-    alphas may contain floats >= s and math.inf.  s defaults to the design
-    strength.  beta_n is recomputed from the actual probabilities as a
-    consistency check on the assignment.
+    rhos is (N, d, d); alphas may contain floats >= s and math.inf; s
+    defaults to the design strength.  One batched eigvalsh gives the
+    moments and the purity, one contraction every outcome probability.  The
+    index-of-coincidence identity is checked against those probabilities,
+    which verifies the claimed strength on every state.  One array root
+    solve Y(beta_n) serves bound_prop1, bound_prop2 at every alpha, the
+    Landau-Pollak cap and the saturation test; one more gives the Jensen
+    terms Y(beta_m).
     """
     design = assignment.design
     t = design.strength if s is None else s
-    n, m_count = assignment.n_outcomes, assignment.n_povms
-    bn, bk = beta_parameters(assignment, rho, t, check=True)
-    probs = all_outcome_probabilities(assignment, rho)
-    beta_m = tuple(float(np.sum(row**t)) for row in probs)
-    purity = float(power_moments(rho, 2)[1])
-
-    per_alpha: dict[float, AlphaBounds] = {}
+    n = assignment.n_outcomes
+    alphas = tuple(alphas)
     for alpha in alphas:
-        actual = float(np.mean([renyi_entropy(row, alpha) for row in probs]))
-        per_alpha[alpha] = AlphaBounds(
-            actual=actual,
-            bound_prior=bound_prior(n, t, bn, alpha),
-            bound_prop1=bound_prop1(n, t, bn),
-            bound_prop1_nr=bound_prop1_nr(n, t, bn),
-            bound_prop2=bound_prop2(n, t, alpha, bn),
-        )
+        _check_alpha(t, alpha)
+    rhos = np.asarray(rhos, dtype=complex)
+    probs = outcome_probability_batch(assignment, rhos)       # (N, M, n)
+    p = power_sums(np.linalg.eigvalsh(rhos), t)
+    bn, bk = betas_from_power_sums(assignment, p, t)
+    beta_m = np.sum(probs**t, axis=-1)                         # (N, M)
+    check_index_identity(assignment, beta_m, bn, t)
 
-    actual_max, cap = landau_pollak_cap(assignment, rho, t)
-    avg_y = float(np.mean([upsilon(n, t, b).value for b in beta_m]))
-    jensen_ok = avg_y <= upsilon(n, t, bn).value + 1e-10
-    min_ent = float(np.mean([renyi_entropy(row, math.inf) for row in probs]))
-    saturated = abs(min_ent - bound_prop1(n, t, bn)) < SAT_ATOL
+    y = upsilon_array(n, t, bn).value
+    prop1 = -np.log(y)
 
-    return BoundReport(
-        dimension=design.dimension, design_size=design.size,
-        n_outcomes=n, n_povms=m_count, order=t,
-        beta_n=bn, beta=bk, beta_m=beta_m, purity=purity,
-        per_alpha=per_alpha,
-        max_prob_actual=actual_max, max_prob_cap=cap,
-        jensen_ok=jensen_ok, saturated=saturated,
-    )
+    def per_alpha(column) -> np.ndarray:
+        cols = [column(alpha) for alpha in alphas]
+        return np.stack(cols, axis=-1) if cols else np.empty((len(bn), 0))
+
+    actual = per_alpha(lambda a: np.mean(renyi_entropies(probs, a), axis=-1))
+    prior = per_alpha(lambda a: _prior(t, bn, a))
+    prop2 = per_alpha(lambda a: _prop2(t, a, bn, y))
+    y_m = upsilon_array(n, t, beta_m).value
+    min_ent = np.mean(renyi_entropies(probs, math.inf), axis=-1)
+    return AuditBatch(
+        dimension=design.dimension, design_size=design.size, n_outcomes=n,
+        n_povms=assignment.n_povms, order=t, alphas=alphas,
+        beta_n=bn, beta=bk, beta_m=beta_m, purity=p[:, 1],
+        actual=actual, bound_prior=prior, bound_prop1=prop1,
+        bound_prop1_nr=-np.log(upsilon_nr1_array(n, t, bn)),
+        bound_prop2=prop2,
+        max_prob_actual=np.mean(probs.max(axis=-1), axis=-1),
+        max_prob_cap=y,
+        jensen_ok=np.mean(y_m, axis=-1) <= y + 1e-10,
+        saturated=np.abs(min_ent - prop1) < SAT_ATOL)
+
+
+def audit_state(assignment: PovmAssignment, rho, alphas, s: int | None = None
+                ) -> BoundReport:
+    """Evaluate actual entropies and every bound for one state: the view of
+    audit_states on a stack of one."""
+    rho = np.asarray(rho, dtype=complex)
+    return audit_states(assignment, rho[None], alphas, s).report(0)

@@ -14,14 +14,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import (audit_state, bound_prior, bound_prop1, bound_prop1_nr,
-                     bound_prop2)
+from .bounds import audit_states, bound_curves
 from .designs import (AssignmentError, DesignLoadError, assign_povms,
                       builtin_design, load_design, mub_grouping, verify_design)
-from .moments import beta_range
+from .moments import beta_range, check_order
 from .quantum import check_density, maximally_mixed, random_density
 from .steering import (matched_alice_povms, steering_check_maxprob,
                        steering_check_renyi)
+from .upsilon import UncertifiedRootError
 
 BUILTIN_NAMES = ("octahedron", "icosahedron", "icosidodecahedron")
 
@@ -84,23 +84,23 @@ def cmd_sweep(args) -> int:
     assignment = _get_assignment(design, args.grouping)
     n, d = assignment.n_outcomes, design.dimension
     s = args.s if args.s is not None else design.strength
+    check_order(assignment, s)
     lo, hi = beta_range(n, d, s)
     grid = np.linspace(lo, hi, args.points)
     finite_alphas = [a for a in _parse_alphas(args.alphas) if not math.isinf(a)]
 
     header = ["beta_bar", "bound_prior", "bound_prop1", "bound_prop1_nr"]
     header += [f"bound_prop2_alpha{_fmt(a)}" for a in finite_alphas]
-    rows = []
-    for b in grid:
-        prior = bound_prior(n, s, b, math.inf)
-        prop1 = bound_prop1(n, s, b)
-        nr = bound_prop1_nr(n, s, b)
-        if not prop1 >= nr - 1e-12 or not nr >= prior - 1e-12:
-            print(f"bound ordering violated at beta_bar={b}", file=sys.stderr)
-            return 1
-        row = [b, prior, prop1, nr]
-        row += [bound_prop2(n, s, a, b) for a in finite_alphas]
-        rows.append(row)
+    curves = bound_curves(n, s, grid, finite_alphas)
+    prior, prop1, nr = curves.bound_prior, curves.bound_prop1, \
+        curves.bound_prop1_nr
+    bad = np.flatnonzero(~((prop1 >= nr - 1e-12) & (nr >= prior - 1e-12)))
+    if bad.size:
+        print(f"bound ordering violated at beta_bar={grid[bad[0]]}",
+              file=sys.stderr)
+        return 1
+    rows = np.column_stack([grid, prior, prop1, nr,
+                            *curves.bound_prop2]).tolist()
 
     if args.format == "csv":
         lines = [",".join(header)]
@@ -123,19 +123,13 @@ def cmd_audit(args) -> int:
     alphas = [max(a, s) if not math.isinf(a) else a
               for a in _parse_alphas(args.alphas)]
     rng = np.random.default_rng(args.seed)
-    violations = 0
-    saturations = 0
-    worst_margin = math.inf
     states = [maximally_mixed(design.dimension)]
     states += [random_density(design.dimension, rng) for _ in range(args.samples)]
-    for rho in states:
-        report = audit_state(assignment, rho, alphas, s=s)
-        if not report.all_satisfied:
-            violations += 1
-        if report.saturated:
-            saturations += 1
-        for b in report.per_alpha.values():
-            worst_margin = min(worst_margin, b.actual - b.bound_prop2)
+    batch = audit_states(assignment, np.stack(states), alphas, s=s)
+    violations = int(np.count_nonzero(~batch.all_satisfied))
+    saturations = int(np.count_nonzero(batch.saturated))
+    worst_margin = float(np.min(batch.actual - batch.bound_prop2,
+                                initial=math.inf))
     print(f"samples: {args.samples} (+ maximally mixed)  seed: {args.seed}")
     print(f"violations: {violations}")
     print(f"saturation events: {saturations}")
@@ -211,7 +205,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (DesignLoadError, AssignmentError, ValueError, OSError,
-            KeyError, json.JSONDecodeError) as exc:
+            KeyError, json.JSONDecodeError, UncertifiedRootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,12 @@ class AssignmentError(ValueError):
     """Raised when a grouping does not yield genuine POVMs."""
 
 
+class DesignStrengthError(ValueError):
+    """Raised when a state's outcome probabilities violate the index-of-
+    coincidence identity: the design is not a design of the claimed
+    strength."""
+
+
 @dataclass(frozen=True)
 class QuantumDesign:
     """A set of K unit vectors in C^d with a claimed design strength t."""
@@ -70,6 +76,11 @@ class PovmAssignment:
     @property
     def n_outcomes(self) -> int:
         return len(self.groups[0])
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """(M, n, d) design vectors, one block per POVM."""
+        return self.design.vectors[np.array(self.groups)]
 
     def povm_elements(self, m: int) -> list[np.ndarray]:
         """Rank-one elements (d/n) |phi><phi| of the m-th POVM (0-based)."""
@@ -263,5 +274,20 @@ def outcome_probabilities(assignment: PovmAssignment, m: int, rho) -> np.ndarray
 
 def all_outcome_probabilities(assignment: PovmAssignment, rho) -> np.ndarray:
     """(M, n) array of outcome distributions, one row per POVM."""
-    return np.array([outcome_probabilities(assignment, m, rho)
-                     for m in range(assignment.n_povms)])
+    rho = np.asarray(rho, dtype=complex)
+    d = assignment.design.dimension
+    if rho.shape != (d, d):
+        raise ValueError(f"state shape {rho.shape} does not match dimension {d}")
+    return outcome_probability_batch(assignment, rho[None])[0]
+
+
+def outcome_probability_batch(assignment: PovmAssignment, rhos) -> np.ndarray:
+    """(N, M, n) outcome distributions of a stack of N states, from one
+    contraction over the stacked (M, n, d) design vectors."""
+    rhos = np.asarray(rhos, dtype=complex)
+    d, n = assignment.design.dimension, assignment.n_outcomes
+    if rhos.ndim != 3 or rhos.shape[1:] != (d, d):
+        raise ValueError(f"states shape {rhos.shape} is not (N, {d}, {d})")
+    vs = assignment.vectors
+    probs = (d / n) * np.real(np.einsum("mjd,Ndc,mjc->Nmj", vs.conj(), rhos, vs))
+    return np.clip(probs, 0.0, None)

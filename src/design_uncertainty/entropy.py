@@ -15,28 +15,29 @@ import numpy as np
 PROB_FLOOR = 1e-15
 
 
-def _clean(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float).ravel()
-    if np.any(p < -1e-10):
-        raise ValueError("negative probability")
-    p = np.where(p < PROB_FLOOR, 0.0, p)
-    return p
-
-
-def renyi_entropy(p, alpha) -> float:
-    """Renyi alpha-entropy (1-alpha)^{-1} ln sum p^alpha in nats.
+def renyi_entropies(p, alpha) -> np.ndarray:
+    """Renyi alpha-entropies (1-alpha)^{-1} ln sum p^alpha in nats of the
+    distributions along the last axis of p.
 
     alpha = 1 gives the Shannon entropy, alpha = math.inf -ln max(p).
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    p = _clean(p)
+    p = np.asarray(p, dtype=float)
+    if np.any(p < -1e-10):
+        raise ValueError("negative probability")
+    p = np.where(p < PROB_FLOOR, 0.0, p)
     if math.isinf(alpha):
-        return -math.log(float(np.max(p)))
+        return -np.log(np.max(p, axis=-1))
     if alpha == 1:
-        nz = p[p > 0]
-        return float(-np.sum(nz * np.log(nz)))
-    return math.log(float(np.sum(p**alpha))) / (1.0 - alpha)
+        nz = p > 0
+        return -np.sum(p * np.log(np.where(nz, p, 1.0)), axis=-1)
+    return np.log(np.sum(p**alpha, axis=-1)) / (1.0 - alpha)
+
+
+def renyi_entropy(p, alpha) -> float:
+    """Renyi alpha-entropy of one distribution; see renyi_entropies."""
+    return float(renyi_entropies(np.ravel(p), alpha))
 
 
 def conditional_renyi_arimoto(joint, alpha) -> float:

@@ -147,11 +147,18 @@ def partial_trace(rho_ab, dims, keep: str) -> np.ndarray:
 
 def power_moments(rho, qmax: int) -> np.ndarray:
     """[tr(rho^q) for q = 1..qmax], computed from the eigenvalues."""
+    return power_sums(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)), qmax)
+
+
+def power_sums(evals, qmax: int) -> np.ndarray:
+    """Power sums sum_i lambda_i^q, q = 1..qmax, of the eigenvalues along the
+    last axis of evals (negative ones clipped to 0), stacked on a new last
+    axis: for a stack of spectra, the power_moments of every state."""
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
-    evals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
     evals = np.clip(evals, 0.0, None)
-    return np.array([float(np.sum(evals**q)) for q in range(1, qmax + 1)])
+    return np.stack([np.sum(evals**q, axis=-1) for q in range(1, qmax + 1)],
+                    axis=-1)
 
 
 def random_density(d: int, rng, ensemble: str = "hilbert-schmidt",

@@ -1,0 +1,256 @@
+"""The terminating root solver, its array form and the batched audit core,
+each checked against an independent per-element or per-state path."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from design_uncertainty import (AlphaBounds, admissible_range,
+                                all_outcome_probabilities, assign_povms,
+                                audit_state, audit_states, beta_parameters,
+                                beta_range, bound_curves, bound_prior,
+                                bound_prop1, bound_prop1_nr, bound_prop2,
+                                builtin_design, density_from_state,
+                                landau_pollak_cap, maximally_mixed,
+                                mub_grouping, outcome_probabilities,
+                                outcome_probability_batch, random_density,
+                                renyi_entropies, renyi_entropy, upsilon,
+                                upsilon_array, upsilon_nr1,
+                                upsilon_nr1_array)
+from design_uncertainty.bounds import SAT_ATOL
+from design_uncertainty.upsilon import MAX_ITER
+
+GRID_CASES = [(2, 3), (6, 3), (12, 5), (30, 5)]
+ITER_LIMIT = 50
+
+
+def linspace_grid(n, t, points=2000):
+    return np.linspace(*admissible_range(n, t), points)
+
+
+def floor_grid(n, t, points=500):
+    """beta log-spaced from 1e-14 to 1 (relative) above the floor."""
+    lo, hi = admissible_range(n, t)
+    grid = lo * (1.0 + np.logspace(-14, 0, points))
+    return grid[grid <= hi]
+
+
+class TestStopRule:
+    def test_two_float_cycle_terminates(self):
+        # Newton alternates between 0.1856262513955634 and a float about
+        # 7 ulps away; only a repeated-iterate stop ends it
+        res = upsilon(6, 3, 0.028)
+        assert res.iterations < ITER_LIMIT
+        assert res.residual <= 1e-12
+        assert abs(res.value - 0.1856262513955634) < 1e-14
+
+    @pytest.mark.parametrize("n, t", GRID_CASES)
+    @pytest.mark.parametrize("grid", [linspace_grid, floor_grid])
+    def test_iterations_bounded(self, n, t, grid):
+        betas = grid(n, t)
+        scalar = max(upsilon(n, t, b).iterations for b in betas)
+        array = upsilon_array(n, t, betas).iterations.max()
+        assert scalar <= ITER_LIMIT < MAX_ITER
+        assert array <= ITER_LIMIT
+
+
+class TestArraySolver:
+    @pytest.mark.parametrize("n, t", GRID_CASES)
+    def test_matches_scalar(self, n, t):
+        betas = linspace_grid(n, t)
+        res = upsilon_array(n, t, betas)
+        ys = np.array([upsilon(n, t, b).value for b in betas])
+        assert np.all(np.abs(res.value - ys) <= 1e-15 * ys)
+        assert np.all(res.residual <= 1e-12)
+
+    @pytest.mark.parametrize("n, t", GRID_CASES)
+    def test_near_floor_within_conditioning(self, n, t):
+        # at the floor the root is double: an error e in f moves it by
+        # about sqrt(e), so the two solvers may part in the ninth digit
+        betas = floor_grid(n, t)
+        res = upsilon_array(n, t, betas)
+        ys = np.array([upsilon(n, t, b).value for b in betas])
+        assert np.all(np.abs(res.value - ys) <= 1e-8 * ys)
+        assert np.all(res.residual <= 1e-12)
+
+    def test_shape_and_corner_cases(self):
+        lo, hi = admissible_range(6, 3)
+        betas = np.array([[lo, 0.028], [0.05, hi]])
+        res = upsilon_array(6, 3, betas)
+        assert res.value.shape == res.iterations.shape == betas.shape
+        assert res.value[0, 0] == 1 / 6 and res.iterations[0, 0] == 0
+        assert res.value[1, 1] == 1.0 and res.residual[1, 1] == 0.0
+        assert res.value[0, 1] == pytest.approx(upsilon(6, 3, 0.028).value,
+                                                rel=1e-15)
+
+    def test_single_query_goes_to_scalar(self):
+        res = upsilon_array(6, 3, [0.05])
+        ref = upsilon(6, 3, 0.05)
+        assert res.value.shape == (1,)
+        assert res.value[0] == ref.value
+        assert res.iterations[0] == ref.iterations
+
+    def test_empty(self):
+        assert upsilon_array(6, 3, []).value.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [1 / 40, 1.01, math.nan])
+    def test_rejects_inadmissible(self, bad):
+        with pytest.raises(ValueError):
+            upsilon_array(6, 3, [0.05, bad])
+        with pytest.raises(ValueError):
+            upsilon(6, 3, bad)
+
+    @pytest.mark.parametrize("n, t", GRID_CASES)
+    def test_one_step_array(self, n, t):
+        betas = linspace_grid(n, t, 200)
+        got = upsilon_nr1_array(n, t, betas)
+        ref = np.array([upsilon_nr1(n, t, b) for b in betas])
+        assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+
+
+class TestBoundCurves:
+    @pytest.mark.parametrize("n, d, t", [(6, 2, 3), (2, 2, 3), (30, 2, 5)])
+    def test_matches_scalar_bounds(self, n, d, t):
+        betas = np.linspace(*beta_range(n, d, t), 101)
+        curves = bound_curves(n, t, betas, [t, 10.0])
+        for i, b in enumerate(betas):
+            assert curves.bound_prior[i] == pytest.approx(
+                bound_prior(n, t, b, math.inf), rel=1e-15)
+            assert curves.bound_prop1[i] == pytest.approx(
+                bound_prop1(n, t, b), rel=1e-14)
+            assert curves.bound_prop1_nr[i] == pytest.approx(
+                bound_prop1_nr(n, t, b), rel=1e-14)
+            for alpha, col in zip([t, 10.0], curves.bound_prop2):
+                assert col[i] == pytest.approx(bound_prop2(n, t, alpha, b),
+                                               rel=1e-14)
+
+    def test_alpha_below_t_rejected(self):
+        with pytest.raises(ValueError):
+            bound_curves(6, 3, [1 / 20], [2])
+
+
+def reference_audit(assignment, rho, alphas, s=None):
+    """Oracle: the per-state audit, one scalar query per quantity."""
+    t = assignment.design.strength if s is None else s
+    n = assignment.n_outcomes
+    bn, bk = beta_parameters(assignment, rho, t, check=True)
+    probs = all_outcome_probabilities(assignment, rho)
+    per_alpha = {}
+    for alpha in alphas:
+        per_alpha[alpha] = AlphaBounds(
+            actual=float(np.mean([renyi_entropy(row, alpha)
+                                  for row in probs])),
+            bound_prior=bound_prior(n, t, bn, alpha),
+            bound_prop1=bound_prop1(n, t, bn),
+            bound_prop1_nr=bound_prop1_nr(n, t, bn),
+            bound_prop2=bound_prop2(n, t, alpha, bn))
+    actual_max, cap = landau_pollak_cap(assignment, rho, t)
+    y_m = [upsilon(n, t, float(np.sum(row**t))).value for row in probs]
+    min_ent = np.mean([renyi_entropy(row, math.inf) for row in probs])
+    return {
+        "beta_n": bn, "beta": bk,
+        "beta_m": [float(np.sum(row**t)) for row in probs],
+        "purity": float(np.real(np.trace(rho @ rho))),
+        "per_alpha": per_alpha,
+        "max_prob_actual": actual_max, "max_prob_cap": cap,
+        "jensen_ok": float(np.mean(y_m)) <= upsilon(n, t, bn).value + 1e-10,
+        "saturated": abs(min_ent - bound_prop1(n, t, bn)) < SAT_ATOL,
+    }
+
+
+def batch_states(d, rng, count=60):
+    states = [maximally_mixed(d), density_from_state(np.eye(d)[0])]
+    states += [random_density(d, rng) for _ in range(count)]
+    states += [random_density(d, rng, ensemble="pure") for _ in range(5)]
+    return np.stack(states)
+
+
+AUDIT_CASES = [("octahedron", "single", [3, 6, math.inf], None),
+               ("octahedron", "mub", [3, 6, math.inf], None),
+               ("icosahedron", "single", [2, 4, math.inf], 2)]
+
+
+class TestAuditStates:
+    @pytest.mark.parametrize("name, grouping, alphas, s", AUDIT_CASES)
+    def test_matches_per_state_oracle(self, name, grouping, alphas, s, rng):
+        design = builtin_design(name)
+        assignment = assign_povms(
+            design, mub_grouping() if grouping == "mub" else grouping)
+        rhos = batch_states(design.dimension, rng)
+        batch = audit_states(assignment, rhos, alphas, s=s)
+        assert batch.actual.shape == (len(rhos), len(alphas))
+        for i, rho in enumerate(rhos):
+            ref = reference_audit(assignment, rho, alphas, s)
+            got = batch.report(i)
+            for key in ("beta_n", "beta", "purity", "max_prob_actual",
+                        "max_prob_cap"):
+                assert getattr(got, key) == pytest.approx(ref[key],
+                                                          abs=1e-12), key
+            assert got.beta_m == pytest.approx(ref["beta_m"], abs=1e-12)
+            assert got.jensen_ok == ref["jensen_ok"]
+            assert got.saturated == ref["saturated"]
+            assert list(got.per_alpha) == list(ref["per_alpha"])
+            for alpha, want in ref["per_alpha"].items():
+                have = got.per_alpha[alpha]
+                for field in dataclasses.fields(AlphaBounds):
+                    assert getattr(have, field.name) == pytest.approx(
+                        getattr(want, field.name), abs=1e-12), field.name
+                assert have.satisfied == want.satisfied
+            assert bool(batch.all_satisfied[i]) == got.all_satisfied
+        assert batch.saturated[0] and batch.all_satisfied.all()
+
+    def test_audit_state_is_a_view(self, oct_mub, rng):
+        rhos = batch_states(2, rng, count=5)
+        batch = audit_states(oct_mub, rhos, [3, math.inf])
+        for i, rho in enumerate(rhos):
+            one = audit_state(oct_mub, rho, [3, math.inf])
+            full = batch.report(i)
+            assert one.beta_n == full.beta_n
+            assert one.max_prob_cap == pytest.approx(full.max_prob_cap,
+                                                     rel=1e-15)
+
+    def test_prop1_checked_in_violation_count(self, oct_single, rng):
+        batch = audit_states(oct_single, batch_states(2, rng, count=3),
+                             [3, math.inf])
+        assert batch.all_satisfied.all()
+        lifted = dataclasses.replace(batch,
+                                     bound_prop1=batch.actual.max(axis=1) + 0.1)
+        assert not lifted.satisfied.any()
+        assert not lifted.all_satisfied.any()
+
+    def test_no_alphas(self, oct_single, rng):
+        rhos = batch_states(2, rng, count=3)
+        batch = audit_states(oct_single, rhos, [])
+        assert batch.actual.shape == (len(rhos), 0)
+        assert batch.all_satisfied.all()
+
+    def test_rejects_bad_shapes_and_alphas(self, oct_single):
+        with pytest.raises(ValueError):
+            audit_states(oct_single, maximally_mixed(2), [3])
+        with pytest.raises(ValueError):
+            audit_states(oct_single, maximally_mixed(2)[None], [2])
+        with pytest.raises(ValueError, match="strength"):
+            audit_states(oct_single, maximally_mixed(2)[None], [5], s=5)
+
+
+class TestBatchedLayers:
+    def test_probabilities_match_per_povm_path(self, oct_mub, rng):
+        rhos = batch_states(2, rng, count=10)
+        probs = outcome_probability_batch(oct_mub, rhos)
+        for i, rho in enumerate(rhos):
+            for m in range(oct_mub.n_povms):
+                assert probs[i, m] == pytest.approx(
+                    outcome_probabilities(oct_mub, m, rho), abs=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1, 2, 3, math.inf])
+    def test_entropies_match_one_at_a_time(self, alpha, rng):
+        p = rng.dirichlet(np.ones(7), size=(4, 3))
+        p[0, 0, :3] = 0.0
+        p[0, 0] /= p[0, 0].sum()
+        got = renyi_entropies(p, alpha)
+        assert got.shape == (4, 3)
+        for idx in np.ndindex(4, 3):
+            assert got[idx] == pytest.approx(renyi_entropy(p[idx], alpha),
+                                             abs=1e-14)

@@ -1,0 +1,95 @@
+"""Typed errors for a false design strength and an uncertified root, the
+CLI's exit code 2 for both, the s <= t guard of sweep, and bound_prop1 in
+the per-alpha satisfied check."""
+
+import importlib
+import math
+
+import pytest
+
+from design_uncertainty import (AlphaBounds, DesignStrengthError,
+                                QuantumDesign, UncertifiedRootError,
+                                assign_povms, audit_states, beta_parameters,
+                                maximally_mixed, random_density, save_design,
+                                upsilon, upsilon_array)
+from design_uncertainty.cli import main
+
+# the package re-exports the function upsilon under the module's name
+upsilon_module = importlib.import_module("design_uncertainty.upsilon")
+
+
+@pytest.fixture()
+def fake_5_design(octahedron):
+    """The octahedron (a 3-design) claiming strength 5."""
+    return QuantumDesign(dimension=2, strength=5, vectors=octahedron.vectors)
+
+
+class TestDesignStrengthError:
+    def test_is_a_value_error(self):
+        assert issubclass(DesignStrengthError, ValueError)
+
+    def test_false_strength_detected(self, fake_5_design, rng):
+        single = assign_povms(fake_5_design, "single")
+        # the identity holds on the maximally mixed state for any strength
+        beta_parameters(single, maximally_mixed(2), 5)
+        rho = random_density(2, rng)
+        with pytest.raises(DesignStrengthError, match="not a 5-design"):
+            beta_parameters(single, rho, 5)
+        with pytest.raises(DesignStrengthError):
+            audit_states(single, rho[None], [math.inf])
+
+    def test_cli_exit_2(self, fake_5_design, tmp_path, capsys):
+        path = tmp_path / "fake5.json"
+        save_design(fake_5_design, path)
+        assert main(["audit", "--design", str(path), "--samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "identity violated" in captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestUncertifiedRootError:
+    def test_is_a_runtime_error(self):
+        assert issubclass(UncertifiedRootError, RuntimeError)
+
+    def test_raised_when_iterations_run_out(self, monkeypatch):
+        monkeypatch.setattr(upsilon_module, "MAX_ITER", 1)
+        with pytest.raises(UncertifiedRootError):
+            upsilon(6, 3, 0.05)
+        with pytest.raises(UncertifiedRootError):
+            upsilon_array(6, 3, [0.04, 0.05])
+
+    def test_cli_exit_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(upsilon_module, "MAX_ITER", 1)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--design", "octahedron", "--points", "20",
+                     "--output", str(out)]) == 2
+        assert "error: Newton failed" in capsys.readouterr().err
+
+
+class TestSweepOrderGuard:
+    @pytest.mark.parametrize("s", ["7", "4", "1"])
+    def test_rejects_s_outside_2_to_t(self, s, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--design", "octahedron", "-s", s,
+                     "--output", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_accepts_s_up_to_t(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--design", "icosahedron", "-s", "3",
+                     "--points", "10", "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 11
+
+
+class TestSatisfiedUsesProp1:
+    def test_prop1_above_actual_is_a_violation(self):
+        bounds = AlphaBounds(actual=1.0, bound_prior=0.5, bound_prop1=1.2,
+                             bound_prop1_nr=1.1, bound_prop2=0.9)
+        assert not bounds.satisfied
+
+    def test_all_bounds_below_actual(self):
+        bounds = AlphaBounds(actual=1.3, bound_prior=0.5, bound_prop1=1.2,
+                             bound_prop1_nr=1.1, bound_prop2=0.9)
+        assert bounds.satisfied
