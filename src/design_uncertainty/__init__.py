@@ -21,8 +21,9 @@ from .moments import (MomentProfile, beta_parameters, beta_range,
                       moment_profile, sym_moment, sym_moment_direct)
 from .quantum import (bloch_to_state, check_density, check_state,
                       density_from_state, maximally_mixed, partial_trace,
-                      power_moments, random_density, random_pure_state,
-                      sym_dim_inv, sym_projector, tensor_power)
+                      power_moments, random_densities, random_density,
+                      random_pure_state, sym_dim_inv, sym_projector,
+                      tensor_power)
 from .steering import (ConditionalEnsemble, SteeringResult,
                        conditioned_ensemble, matched_alice_povms,
                        steering_check_maxprob, steering_check_renyi)

@@ -244,9 +244,9 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     moments and the purity, one contraction every outcome probability.  The
     index-of-coincidence identity is checked against those probabilities,
     which verifies the claimed strength on every state.  One array root
-    solve Y(beta_n) serves bound_prop1, bound_prop2 at every alpha, the
-    Landau-Pollak cap and the saturation test; one more gives the Jensen
-    terms Y(beta_m).
+    solve on beta_n and the per-POVM sums beta_m together gives Y(beta_n),
+    which serves bound_prop1, bound_prop2 at every alpha, the Landau-Pollak
+    cap and the saturation test, and the Jensen terms Y(beta_m).
     """
     design = assignment.design
     t = design.strength if s is None else s
@@ -261,7 +261,8 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     beta_m = np.sum(probs**t, axis=-1)                         # (N, M)
     check_index_identity(assignment, beta_m, bn, t)
 
-    y = upsilon_array(n, t, bn).value
+    y_all = upsilon_array(n, t, np.concatenate([bn, beta_m.ravel()])).value
+    y, y_m = y_all[:len(bn)], y_all[len(bn):].reshape(beta_m.shape)
     prop1 = -np.log(y)
 
     def per_alpha(column) -> np.ndarray:
@@ -271,7 +272,6 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     actual = per_alpha(lambda a: np.mean(renyi_entropies(probs, a), axis=-1))
     prior = per_alpha(lambda a: _prior(t, bn, a))
     prop2 = per_alpha(lambda a: _prop2(t, a, bn, y))
-    y_m = upsilon_array(n, t, beta_m).value
     min_ent = np.mean(renyi_entropies(probs, math.inf), axis=-1)
     return AuditBatch(
         dimension=design.dimension, design_size=design.size, n_outcomes=n,

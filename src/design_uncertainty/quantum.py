@@ -39,10 +39,14 @@ def check_state(psi) -> np.ndarray:
 
 
 def check_density(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD within tolerance."""
+    """Validate a density matrix: finite, Hermitian, unit trace, PSD within
+    tolerance."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    # NaN makes every comparison below False, so it would pass them all
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix contains non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ValueError("density matrix is not Hermitian")
     tr = np.trace(rho).real
@@ -182,10 +186,22 @@ def random_density(d: int, rng, ensemble: str = "hilbert-schmidt",
         g /= np.linalg.norm(g)
         return np.outer(g, g.conj())
     if ensemble == "hilbert-schmidt":
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m = g @ g.conj().T
-        return m / np.trace(m).real
+        return random_densities(d, 1, rng)[0]
     raise ValueError(f"unknown ensemble {ensemble!r}")
+
+
+def random_densities(d: int, count: int, rng) -> np.ndarray:
+    """(count, d, d) stack of Hilbert-Schmidt random density matrices:
+    normalized G G^dagger with complex standard-normal G.  One draw of
+    shape (count, 2, d, d) consumes the generator in the order of count
+    calls of random_density(d, rng), real part before imaginary part, so
+    the states are bit-identical to those calls."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    z = np.random.default_rng(rng).standard_normal((count, 2, d, d))
+    g = z[:, 0] + 1j * z[:, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def random_pure_state(d: int, rng) -> np.ndarray:

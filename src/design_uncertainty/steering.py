@@ -18,7 +18,7 @@ from .bounds import state_independent_bound
 from .designs import PovmAssignment, outcome_probabilities
 from .entropy import conditional_renyi_arimoto
 from .moments import beta_range
-from .quantum import partial_trace
+from .quantum import PSD_ATOL, check_density, partial_trace
 from .upsilon import upsilon
 
 
@@ -38,12 +38,24 @@ class SteeringResult:
     satisfied: bool
 
 
-def _check_povm(elements, d: int) -> list[np.ndarray]:
-    ops = [np.asarray(f, dtype=complex) for f in elements]
-    total = sum(ops)
-    if np.max(np.abs(total - np.eye(d))) > 1e-10:
+def _povm_roots(elements, d: int) -> np.ndarray:
+    """Validate one Alice POVM on C^d (shapes, Hermitian, PSD, sum to the
+    identity) and return the PSD square roots of its elements, stacked.
+    Each test is written so that NaN fails it."""
+    ops = np.asarray(elements, dtype=complex)
+    if ops.ndim != 3 or ops.shape[1:] != (d, d):
+        raise ValueError(f"Alice POVM elements have shape {ops.shape[1:]}, "
+                         f"expected {(d, d)}")
+    if not np.max(np.abs(ops - ops.conj().swapaxes(-1, -2))) <= 1e-10:
+        raise ValueError("Alice POVM element is not Hermitian")
+    if not np.max(np.abs(ops.sum(axis=0) - np.eye(d))) <= 1e-10:
         raise ValueError("Alice POVM elements do not sum to the identity")
-    return ops
+    evals, evecs = np.linalg.eigh(ops)
+    if not evals[:, 0].min() >= -PSD_ATOL:
+        raise ValueError(f"Alice POVM element has negative eigenvalue "
+                         f"{evals[:, 0].min()}")
+    return (evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]) \
+        @ evecs.conj().swapaxes(-1, -2)
 
 
 def conditioned_ensemble(rho_ab, dims, alice_povm) -> ConditionalEnsemble:
@@ -55,13 +67,9 @@ def conditioned_ensemble(rho_ab, dims, alice_povm) -> ConditionalEnsemble:
     """
     da, db = dims
     rho_ab = np.asarray(rho_ab, dtype=complex)
-    ops = _check_povm(alice_povm, da)
     eye_b = np.eye(db, dtype=complex)
     weights, states, valid = [], [], []
-    for f in ops:
-        # Hermitian PSD square root via eigendecomposition
-        evals, evecs = np.linalg.eigh(f)
-        sqrt_f = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    for sqrt_f in _povm_roots(alice_povm, da):
         big = np.kron(sqrt_f, eye_b)
         sub = big @ rho_ab @ big
         p = float(np.trace(sub).real)
@@ -78,6 +86,24 @@ def conditioned_ensemble(rho_ab, dims, alice_povm) -> ConditionalEnsemble:
                                valid=np.array(valid))
 
 
+def _check_inputs(rho_ab, dims, alice_povms,
+                  bob_assignment: PovmAssignment) -> np.ndarray:
+    """The validated rho_AB of a steering check, whose dims must match it
+    and Bob's design, with one Alice POVM per Bob POVM."""
+    if len(alice_povms) != bob_assignment.n_povms:
+        raise ValueError(f"Alice has {len(alice_povms)} POVMs, Bob has "
+                         f"{bob_assignment.n_povms}")
+    da, db = dims
+    rho_ab = check_density(rho_ab)
+    if rho_ab.shape != (da * db, da * db):
+        raise ValueError(f"state shape {rho_ab.shape} does not match dims "
+                         f"{(da, db)}")
+    if db != bob_assignment.design.dimension:
+        raise ValueError(f"Bob dimension {db} does not match design "
+                         f"dimension {bob_assignment.design.dimension}")
+    return rho_ab
+
+
 def matched_alice_povms(assignment: PovmAssignment) -> list[list[np.ndarray]]:
     """Alice POVMs mirroring Bob's design assignment element-for-element."""
     return [assignment.povm_elements(m) for m in range(assignment.n_povms)]
@@ -88,9 +114,7 @@ def steering_check_renyi(rho_ab, dims, alice_povms,
                          ) -> SteeringResult:
     """Average Arimoto conditional alpha-entropy of Bob's outcomes given
     Alice's, against the state-independent Renyi bound (alpha >= t)."""
-    if len(alice_povms) != bob_assignment.n_povms:
-        raise ValueError(f"Alice has {len(alice_povms)} POVMs, Bob has "
-                         f"{bob_assignment.n_povms}")
+    rho_ab = _check_inputs(rho_ab, dims, alice_povms, bob_assignment)
     design = bob_assignment.design
     n, t = bob_assignment.n_outcomes, design.strength
     total = 0.0
@@ -102,8 +126,8 @@ def steering_check_renyi(rho_ab, dims, alice_povms,
             if ok:
                 joint[:, ell] = w * outcome_probabilities(bob_assignment, m, rho_b)
         total += conditional_renyi_arimoto(joint, alpha)
-    lhs = total / len(alice_povms)
-    rhs = state_independent_bound(n, design.dimension, t, alpha)
+    lhs = float(total / len(alice_povms))
+    rhs = float(state_independent_bound(n, design.dimension, t, alpha))
     return SteeringResult(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs - 1e-10)
 
 
@@ -111,9 +135,7 @@ def steering_check_maxprob(rho_ab, dims, alice_povms,
                            bob_assignment: PovmAssignment) -> SteeringResult:
     """Average conditioned maximal probability against the state-independent
     Landau-Pollak cap."""
-    if len(alice_povms) != bob_assignment.n_povms:
-        raise ValueError(f"Alice has {len(alice_povms)} POVMs, Bob has "
-                         f"{bob_assignment.n_povms}")
+    rho_ab = _check_inputs(rho_ab, dims, alice_povms, bob_assignment)
     design = bob_assignment.design
     n, t = bob_assignment.n_outcomes, design.strength
     total = 0.0
@@ -125,6 +147,6 @@ def steering_check_maxprob(rho_ab, dims, alice_povms,
                 acc += w * float(np.max(
                     outcome_probabilities(bob_assignment, m, rho_b)))
         total += acc
-    lhs = total / len(alice_povms)
-    rhs = upsilon(n, t, beta_range(n, design.dimension, t)[1]).value
+    lhs = float(total / len(alice_povms))
+    rhs = float(upsilon(n, t, beta_range(n, design.dimension, t)[1]).value)
     return SteeringResult(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + 1e-10)

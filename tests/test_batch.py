@@ -20,6 +20,7 @@ from design_uncertainty import (AlphaBounds, admissible_range,
                                 upsilon_array, upsilon_nr1,
                                 upsilon_nr1_array)
 from design_uncertainty.bounds import SAT_ATOL
+from design_uncertainty.cli import main
 from design_uncertainty.upsilon import MAX_ITER
 
 GRID_CASES = [(2, 3), (6, 3), (12, 5), (30, 5)]
@@ -201,6 +202,24 @@ class TestAuditStates:
             assert bool(batch.all_satisfied[i]) == got.all_satisfied
         assert batch.saturated[0] and batch.all_satisfied.all()
 
+    @pytest.mark.parametrize("name, grouping, alphas, s", AUDIT_CASES)
+    def test_one_solve_matches_two(self, name, grouping, alphas, s, rng):
+        # Y(beta_n) and the Jensen terms Y(beta_m) come from one array
+        # solve; two separate solves must give the same floats
+        design = builtin_design(name)
+        assignment = assign_povms(
+            design, mub_grouping() if grouping == "mub" else grouping)
+        t = design.strength if s is None else s
+        n = assignment.n_outcomes
+        batch = audit_states(assignment, batch_states(design.dimension, rng),
+                             alphas, s=s)
+        y = upsilon_array(n, t, batch.beta_n).value
+        y_m = upsilon_array(n, t, batch.beta_m).value
+        np.testing.assert_array_equal(batch.max_prob_cap, y)
+        np.testing.assert_array_equal(batch.bound_prop1, -np.log(y))
+        np.testing.assert_array_equal(batch.jensen_ok,
+                                      np.mean(y_m, axis=-1) <= y + 1e-10)
+
     def test_audit_state_is_a_view(self, oct_mub, rng):
         rhos = batch_states(2, rng, count=5)
         batch = audit_states(oct_mub, rhos, [3, math.inf])
@@ -254,3 +273,52 @@ class TestBatchedLayers:
         for idx in np.ndindex(4, 3):
             assert got[idx] == pytest.approx(renyi_entropy(p[idx], alpha),
                                              abs=1e-14)
+
+
+def audit_stdout_oracle(design_name, grouping, samples, seed, alphas, s=None):
+    """cmd_audit's stdout from states drawn one at a time."""
+    design = builtin_design(design_name)
+    assignment = assign_povms(
+        design, mub_grouping() if grouping == "mub" else grouping)
+    t = design.strength if s is None else s
+    rng = np.random.default_rng(seed)
+    states = [maximally_mixed(design.dimension)]
+    states += [random_density(design.dimension, rng) for _ in range(samples)]
+    batch = audit_states(assignment, np.stack(states),
+                         [a if math.isinf(a) else max(a, t) for a in alphas],
+                         s=t)
+    worst = float(np.min(batch.actual - batch.bound_prop2, initial=math.inf))
+    return (f"samples: {samples} (+ maximally mixed)  seed: {seed}\n"
+            f"violations: {int(np.count_nonzero(~batch.all_satisfied))}\n"
+            f"saturation events: {int(np.count_nonzero(batch.saturated))}\n"
+            f"worst entropy margin: {worst:.12g}\n")
+
+
+class TestAuditCommand:
+    @pytest.mark.parametrize("name, grouping, alphas, s", [
+        ("octahedron", "single", [3, 6, math.inf], None),
+        ("octahedron", "mub", [3, 6, math.inf], None),
+        ("icosahedron", "single", [2, 4, math.inf], 2),
+        ("octahedron", "single", [math.inf], None)])
+    @pytest.mark.parametrize("seed", [1, 7, 4057])
+    def test_stdout_matches_per_state_draws(self, name, grouping, alphas, s,
+                                            seed, capsys):
+        argv = ["audit", "--design", name, "--grouping", grouping,
+                "--samples", "300", "--seed", str(seed),
+                "--alphas", ",".join("inf" if math.isinf(a) else str(a)
+                                     for a in alphas)]
+        if s is not None:
+            argv += ["-s", str(s)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == audit_stdout_oracle(
+            name, grouping, 300, seed, alphas, s)
+
+    def test_no_samples(self, capsys):
+        assert main(["audit", "--design", "octahedron", "--samples", "0"]) == 0
+        assert capsys.readouterr().out == audit_stdout_oracle(
+            "octahedron", "single", 0, 0, [math.inf])
+
+    def test_negative_samples_exit_2(self, capsys):
+        assert main(["audit", "--design", "octahedron",
+                     "--samples", "-1"]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from design_uncertainty import save_design
-from design_uncertainty.cli import main
+from design_uncertainty.cli import _fmt, main
 from design_uncertainty.designs import QuantumDesign
 
 
@@ -94,12 +96,39 @@ class TestSweep:
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 5 and "bound_prop1" in rows[0]
 
+    def test_csv_cells_match_fmt(self, tmp_path, capsys):
+        args = ["sweep", "--design", "icosahedron", "--points", "60",
+                "--alphas", "5,10"]
+        out = tmp_path / "sweep.csv"
+        assert main(args + ["--output", str(out)]) == 0
+        assert main(args + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(rows[0])
+        assert lines[1:] == [",".join(_fmt(x) for x in row.values())
+                             for row in rows]
+
     def test_mub_grouping(self, tmp_path):
         out = tmp_path / "mub.csv"
         assert main(["sweep", "--design", "octahedron", "--grouping", "mub",
                      "--points", "20", "--output", str(out)]) == 0
         first = out.read_text().strip().splitlines()[1].split(",")
         assert float(first[0]) == pytest.approx(0.25, abs=1e-12)
+
+
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300,
+                  -3.5e300, 1.7976931348623157e308, math.inf, -math.inf,
+                  math.nan]
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from(EXTREME_FLOATS), min_size=1, max_size=8))
+@example(EXTREME_FLOATS)
+def test_row_template_matches_fmt(row):
+    # the sweep writes a CSV row with one %-template; each cell must read
+    # as _fmt gives it
+    line = ",".join(["%.12g"] * len(row)) % tuple(row)
+    assert line.split(",") == [_fmt(x) for x in row]
 
 
 class TestAudit:
@@ -133,6 +162,18 @@ class TestSteering:
                      "octahedron", "--grouping", "mub", "--alpha", "3"]) == 0
         out = capsys.readouterr().out
         assert "satisfied=False" not in out
+
+    @pytest.mark.parametrize("scale, match", [(math.nan, "non-finite"),
+                                              (2.0, "trace")])
+    def test_non_density_state_exit_2(self, tmp_path, capsys, scale, match):
+        mat = scale * np.eye(4) / 4
+        state = tmp_path / "bad.json"
+        state.write_text(json.dumps({
+            "dims": [2, 2],
+            "matrix": [[[float(x), 0.0] for x in row] for row in mat]}))
+        assert main(["steering", "--state", str(state),
+                     "--design", "octahedron"]) == 2
+        assert match in capsys.readouterr().err
 
     def test_malformed_state_exit_2(self, tmp_path, capsys):
         state = tmp_path / "bad.json"

@@ -6,7 +6,8 @@ import pytest
 
 from design_uncertainty import (bloch_to_state, check_density,
                                 density_from_state, maximally_mixed,
-                                partial_trace, power_moments, random_density,
+                                partial_trace, power_moments,
+                                random_densities, random_density,
                                 sym_dim_inv, sym_projector, tensor_power)
 
 
@@ -122,6 +123,68 @@ class TestRandomDensity:
     def test_unknown_ensemble(self):
         with pytest.raises(ValueError):
             random_density(2, 0, "ginibre")
+
+
+def hilbert_schmidt_loop(d, count, seed):
+    """Oracle: count single draws, two (d, d) standard-normal blocks each."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = g @ g.conj().T
+        out.append(m / np.trace(m).real)
+    return np.stack(out)
+
+
+class TestRandomDensities:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 4057])
+    def test_bit_identical_to_single_draws(self, d, seed):
+        got = random_densities(d, 25, np.random.default_rng(seed))
+        want = hilbert_schmidt_loop(d, 25, seed)
+        assert got.shape == (25, d, d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_single_state_is_a_view(self):
+        a = random_density(3, np.random.default_rng(5))
+        b = random_densities(3, 1, np.random.default_rng(5))[0]
+        assert a.tobytes() == b.tobytes()
+
+    def test_stream_continues_where_it_left_off(self):
+        rng = np.random.default_rng(11)
+        first = random_densities(2, 3, rng)
+        second = random_densities(2, 4, rng)
+        want = hilbert_schmidt_loop(2, 7, 11)
+        assert np.concatenate([first, second]).tobytes() == want.tobytes()
+
+    def test_states_are_densities(self, rng):
+        for rho in random_densities(4, 20, rng):
+            check_density(rho)
+
+    def test_counts(self):
+        assert random_densities(2, 0, 3).shape == (0, 2, 2)
+        with pytest.raises(ValueError, match="count"):
+            random_densities(2, -1, 3)
+
+
+class TestCheckDensity:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density(np.full((2, 2), bad))
+        rho = maximally_mixed(2)
+        rho[0, 1] = rho[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density(rho)
+
+    @pytest.mark.parametrize("rho, match", [
+        (np.eye(2), "trace"),
+        (np.diag([1.5, -0.5]), "negative"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "Hermitian"),
+        (np.ones((2, 3)) / 2, "square")])
+    def test_rejects_non_densities(self, rho, match):
+        with pytest.raises(ValueError, match=match):
+            check_density(rho)
 
 
 class TestTensorAndPartialTrace:

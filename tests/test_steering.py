@@ -125,3 +125,49 @@ class TestMaxProbSteering:
         res = steering_check_maxprob(bell_state(), DIMS, alice, mub)
         assert res.lhs == pytest.approx(1.0, abs=1e-10)
         assert not res.satisfied
+
+
+CHECKS = [lambda rho, dims, alice, mub: steering_check_renyi(
+              rho, dims, alice, mub, math.inf),
+          steering_check_maxprob]
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("rho, match", [
+        (2 * np.eye(4) / 4, "trace"),                         # trace 2
+        (np.diag([1.2, -0.2, 0.0, 0.0]), "negative"),         # not PSD
+        (np.full((4, 4), np.nan), "non-finite"),
+        (np.eye(6) / 6, "dims")])                             # shape vs dims
+    def test_bad_states_rejected(self, mub, alice, check, rho, match):
+        with pytest.raises(ValueError, match=match):
+            check(rho, DIMS, alice, mub)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_alice_dimension_mismatch(self, mub, alice, check):
+        # dims claim a qutrit for Alice, whose POVMs act on a qubit
+        with pytest.raises(ValueError, match="elements have shape"):
+            check(np.eye(6) / 6, (3, 2), alice, mub)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_bob_dimension_mismatch(self, mub, alice, check):
+        with pytest.raises(ValueError, match="Bob dimension"):
+            check(np.eye(6) / 6, (2, 3), alice, mub)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("povm, match", [
+        ([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])], "negative"),
+        ([np.array([[0.5, 0.5], [0.0, 0.5]]),
+          np.array([[0.5, -0.5], [0.0, 0.5]])], "Hermitian"),
+        ([np.full((2, 2), np.nan), np.eye(2)], "Hermitian"),
+        ([np.eye(3)], "elements have shape")])
+    def test_bad_alice_povm_rejected(self, mub, alice, check, povm, match):
+        with pytest.raises(ValueError, match=match):
+            check(bell_state(), DIMS, [povm] + alice[1:], mub)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_results_are_plain_python(self, mub, alice, check, rng):
+        for rho in (bell_state(), random_separable(rng)):
+            res = check(rho, DIMS, alice, mub)
+            assert type(res.lhs) is float and type(res.rhs) is float
+            assert type(res.satisfied) is bool
