@@ -17,8 +17,7 @@ from .designs import (AssignmentError, DesignLoadError, DesignStrengthError,
                       save_design, verify_design)
 from .entropy import (conditional_renyi_arimoto, min_entropy, renyi_entropies,
                       renyi_entropy, shannon_entropy)
-from .moments import (MomentProfile, beta_parameters, beta_range,
-                      moment_profile, sym_moment, sym_moment_direct)
+from .moments import beta_parameters, beta_range, sym_moment, sym_moment_direct
 from .quantum import (bloch_to_state, check_density, check_state,
                       density_from_state, maximally_mixed, partial_trace,
                       power_moments, random_densities, random_density,
@@ -28,5 +27,5 @@ from .steering import (ConditionalEnsemble, SteeringResult,
                        conditioned_ensemble, matched_alice_povms,
                        steering_check_maxprob, steering_check_renyi)
 from .upsilon import (UncertifiedRootError, UpsilonResult, admissible_range,
-                      chi, upsilon, upsilon_array, upsilon_closed_t2,
-                      upsilon_closed_t3, upsilon_nr1, upsilon_nr1_array)
+                      chi, upsilon, upsilon_array, upsilon_nr1,
+                      upsilon_nr1_array)

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import (PovmAssignment, all_outcome_probabilities,
-                      outcome_probability_batch)
+from .designs import PovmAssignment, outcome_probability_batch
 from .entropy import renyi_entropies
-from .moments import (beta_parameters, beta_range, betas_from_power_sums,
-                      check_index_identity)
+from .moments import beta_range, betas_from_power_sums, check_index_identity
 from .quantum import power_sums
 from .upsilon import (upsilon, upsilon_array, upsilon_nr1,
                       upsilon_nr1_array)
@@ -218,12 +216,11 @@ def state_independent_bound(n: int, d: int, t: int, alpha) -> float:
 
 def landau_pollak_cap(assignment: PovmAssignment, rho, s: int
                       ) -> tuple[float, float]:
-    """(actual average max-probability, upper cap Y(n, s, beta_n))."""
-    bn, _ = beta_parameters(assignment, rho, s, check=False)
-    probs = all_outcome_probabilities(assignment, rho)
-    actual = float(np.mean(probs.max(axis=1)))
-    cap = upsilon(assignment.n_outcomes, s, bn).value
-    return actual, cap
+    """(actual average max-probability, upper cap Y(n, s, beta_n)): the
+    view of audit_state with no alphas, so the claimed strength is checked
+    on rho as in every audit."""
+    report = audit_state(assignment, rho, (), s)
+    return report.max_prob_actual, report.max_prob_cap
 
 
 def mub_min_bound(purity: float) -> float:

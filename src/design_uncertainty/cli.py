@@ -15,15 +15,14 @@ import numpy as np
 
 from . import __version__
 from .bounds import audit_states, bound_curves
-from .designs import (AssignmentError, DesignLoadError, assign_povms,
-                      builtin_design, load_design, mub_grouping, verify_design)
+from .designs import (BUILTINS, AssignmentError, DesignLoadError,
+                      assign_povms, builtin_design, load_design, mub_grouping,
+                      verify_design)
 from .moments import beta_range, check_order
 from .quantum import maximally_mixed, random_densities
 from .steering import (matched_alice_povms, steering_check_maxprob,
                        steering_check_renyi)
 from .upsilon import UncertifiedRootError
-
-BUILTIN_NAMES = ("octahedron", "icosahedron", "icosidodecahedron")
 
 
 def _fmt(x: float) -> str:
@@ -31,7 +30,7 @@ def _fmt(x: float) -> str:
 
 
 def _get_design(source: str):
-    if source in BUILTIN_NAMES:
+    if source in BUILTINS:
         return builtin_design(source)
     return load_design(source)
 
@@ -57,9 +56,12 @@ def _parse_alphas(text: str) -> list[float]:
 def _load_bipartite_state(path):
     with open(path) as fh:
         raw = json.load(fh)
-    da, db = (int(x) for x in raw["dims"])
-    rows = raw["matrix"]
-    mat = np.array([[complex(p[0], p[1]) for p in row] for row in rows])
+    try:
+        da, db = (int(x) for x in raw["dims"])
+        # [re, im] pairs to complex entries; any other last axis is a ValueError
+        mat = np.asarray(raw["matrix"], dtype=float) @ np.array([1.0, 1j])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed state file {path}: {exc}") from exc
     return mat, (da, db)
 
 
@@ -118,8 +120,7 @@ def cmd_audit(args) -> int:
     design = _get_design(args.design)
     assignment = _get_assignment(design, args.grouping)
     s = args.s if args.s is not None else design.strength
-    alphas = [max(a, s) if not math.isinf(a) else a
-              for a in _parse_alphas(args.alphas)]
+    alphas = _parse_alphas(args.alphas)
     d = design.dimension
     states = np.concatenate([
         maximally_mixed(d)[None],

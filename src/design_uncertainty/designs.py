@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import bloch_to_state, check_density, sym_dim_inv, sym_projector
+from .quantum import bloch_to_state, sym_dim_inv, sym_projector, tensor_power
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -30,7 +30,8 @@ class DesignStrengthError(ValueError):
 
 @dataclass(frozen=True)
 class QuantumDesign:
-    """A set of K unit vectors in C^d with a claimed design strength t."""
+    """A set of K >= d finite unit vectors in C^d with a claimed design
+    strength t; the only validator of design vectors."""
 
     dimension: int
     strength: int
@@ -42,8 +43,10 @@ class QuantumDesign:
             raise ValueError(f"vectors must be (K, {self.dimension}), got {v.shape}")
         if v.shape[0] < self.dimension:
             raise ValueError(f"need K >= d, got K={v.shape[0]}, d={self.dimension}")
-        norms = np.linalg.norm(v, axis=1)
-        bad = np.where(np.abs(norms - 1.0) > 1e-8)[0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            norms = np.linalg.norm(v, axis=1)
+        # written so that NaN fails it; non-finite entries give inf or NaN
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-8))
         if bad.size:
             raise ValueError(f"vector {bad[0]} has norm {norms[bad[0]]}, expected 1")
         object.__setattr__(self, "vectors", v)
@@ -127,7 +130,7 @@ def _icosidodecahedron_bloch() -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-_BUILTINS = {
+BUILTINS = {
     "octahedron": (_octahedron_bloch, 3),
     "icosahedron": (_icosahedron_bloch, 5),
     "icosidodecahedron": (_icosidodecahedron_bloch, 5),
@@ -138,10 +141,10 @@ def builtin_design(name: str) -> QuantumDesign:
     """One of the built-in d=2 polyhedral designs: octahedron (K=6, t=3),
     icosahedron (K=12, t=5), icosidodecahedron (K=30, t=5)."""
     try:
-        bloch_fn, strength = _BUILTINS[name]
+        bloch_fn, strength = BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown design {name!r}; "
-                         f"choose from {sorted(_BUILTINS)}") from None
+                         f"choose from {sorted(BUILTINS)}") from None
     vectors = np.array([bloch_to_state(b) for b in bloch_fn()])
     return QuantumDesign(dimension=2, strength=strength, vectors=vectors)
 
@@ -157,33 +160,23 @@ def save_design(design: QuantumDesign, path) -> None:
 
 
 def load_design(path) -> QuantumDesign:
-    """Load a design from JSON; rejects NaN/Inf, non-unit vectors and K < d."""
+    """Load a design from JSON with each vector component an [re, im] pair;
+    malformed files, and vectors QuantumDesign rejects, raise
+    DesignLoadError."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DesignLoadError(f"cannot read design file {path}: {exc}") from exc
     try:
-        d = int(raw["dimension"])
-        t = int(raw["strength"])
-        rows = raw["vectors"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DesignLoadError(f"design file {path} is missing fields: {exc}") from exc
-    if len(rows) < d:
-        raise DesignLoadError(f"design file has K={len(rows)} < d={d}")
-    vectors = np.empty((len(rows), d), dtype=complex)
-    for k, row in enumerate(rows):
-        if len(row) != d:
-            raise DesignLoadError(f"vector {k} has {len(row)} components, expected {d}")
-        for i, pair in enumerate(row):
-            re, im = float(pair[0]), float(pair[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise DesignLoadError(f"vector {k} component {i} is not finite")
-            vectors[k, i] = complex(re, im)
-        nrm = np.linalg.norm(vectors[k])
-        if abs(nrm - 1.0) > 1e-8:
-            raise DesignLoadError(f"vector {k} has norm {nrm}, expected 1")
-    return QuantumDesign(dimension=d, strength=t, vectors=vectors)
+        # [re, im] pairs to complex entries; any other last axis is a ValueError
+        vectors = np.asarray(raw["vectors"], dtype=float) @ np.array([1.0, 1j])
+        return QuantumDesign(dimension=int(raw["dimension"]),
+                             strength=int(raw["strength"]), vectors=vectors)
+    except KeyError as exc:
+        raise DesignLoadError(f"design file {path} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DesignLoadError(f"design file {path}: {exc}") from exc
 
 
 def frame_potential(design: QuantumDesign, s: int) -> float:
@@ -212,9 +205,7 @@ def verify_design(design: QuantumDesign, t: int, tol: float = 1e-10,
         for s in range(1, t + 1):
             avg = np.zeros((d**s, d**s), dtype=complex)
             for v in design.vectors:
-                vs = v
-                for _ in range(s - 1):
-                    vs = np.kron(vs, v)
+                vs = tensor_power(v, s)
                 avg += np.outer(vs, vs.conj())
             avg /= design.size
             target = sym_dim_inv(d, s) * sym_projector(d, s)

@@ -9,35 +9,18 @@ The direct tensor-projector contraction is kept as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .designs import (DesignStrengthError, PovmAssignment,
                       all_outcome_probabilities)
 from .quantum import power_moments, sym_dim_inv, sym_projector, tensor_power
 
-S_MAX = 5
-
-
-@dataclass(frozen=True)
-class MomentProfile:
-    """Moments and beta parameters of one state under one assignment."""
-
-    values: dict[int, float]        # s -> tr(rho^{otimes s} P_sym^(s))
-    beta_n: dict[int, float]        # s -> rescaled per-POVM parameter
-    beta: dict[int, float]          # s -> rescaled single-POVM parameter
-
 
 def sym_moment(rho, s: int) -> float:
-    """tr(rho^{otimes s} P_sym^(s)) via the power-sum recursion (s = 2..5)."""
-    _check_sym_order(s)
+    """tr(rho^{otimes s} P_sym^(s)) via the power-sum recursion, s >= 2."""
+    if s < 2:
+        raise ValueError(f"s must be >= 2, got {s}")
     return complete_homogeneous(power_moments(rho, s), s)
-
-
-def _check_sym_order(s: int) -> None:
-    if not 2 <= s <= S_MAX:
-        raise ValueError(f"s must be in 2..{S_MAX}, got {s}")
 
 
 def complete_homogeneous(p, s: int):
@@ -78,7 +61,6 @@ def betas_from_power_sums(assignment: PovmAssignment, p, s: int):
     """(beta_n, beta) at order s from the power sums p[..., q-1] = tr(rho^q),
     q = 1..s, of one state or a stack of states."""
     check_order(assignment, s)
-    _check_sym_order(s)
     design = assignment.design
     d, n, k = design.dimension, assignment.n_outcomes, design.size
     scale = d**s * sym_dim_inv(d, s) * complete_homogeneous(p, s)
@@ -102,27 +84,16 @@ def check_index_identity(assignment: PovmAssignment, beta_m, beta_n,
             f"the design is not a {s}-design")
 
 
-def beta_parameters(assignment: PovmAssignment, rho, s: int,
-                    check: bool = True) -> tuple[float, float]:
+def beta_parameters(assignment: PovmAssignment, rho, s: int
+                    ) -> tuple[float, float]:
     """(beta_n, beta) of a state under an assignment at order s.
 
     beta_n = n^{1-s} d^s sym_dim_inv(d,s) tr(rho^{otimes s} P_sym), and beta
-    is the same with K in place of n.  When check is set, the design identity
+    is the same with K in place of n.  The design identity
     sum_m sum_j p_j^s = M beta_n is verified against the actual outcome
     probabilities to 1e-10 (see check_index_identity).
     """
     bn, bk = betas_from_power_sums(assignment, power_moments(rho, s), s)
-    if check:
-        probs = all_outcome_probabilities(assignment, rho)
-        check_index_identity(assignment, np.sum(probs**s, axis=-1), bn, s)
+    probs = all_outcome_probabilities(assignment, rho)
+    check_index_identity(assignment, np.sum(probs**s, axis=-1), bn, s)
     return float(bn), float(bk)
-
-
-def moment_profile(assignment: PovmAssignment, rho) -> MomentProfile:
-    """Moments and beta parameters for all orders s = 2..t of the design."""
-    t = assignment.design.strength
-    values, bn, bk = {}, {}, {}
-    for s in range(2, t + 1):
-        values[s] = sym_moment(rho, s)
-        bn[s], bk[s] = beta_parameters(assignment, rho, s, check=False)
-    return MomentProfile(values=values, beta_n=bn, beta=bk)

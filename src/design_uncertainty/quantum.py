@@ -180,10 +180,8 @@ def random_density(d: int, rng, ensemble: str = "hilbert-schmidt",
         if lam is None or not (0.0 <= lam <= 0.5):
             raise ValueError(f"diagonal ensemble needs 0 <= lam <= 1/2, got {lam}")
         return np.diag([1.0 - lam, lam]).astype(complex)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     if ensemble == "pure":
-        g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        g /= np.linalg.norm(g)
+        g = random_pure_state(d, rng)
         return np.outer(g, g.conj())
     if ensemble == "hilbert-schmidt":
         return random_densities(d, 1, rng)[0]
@@ -205,6 +203,6 @@ def random_densities(d: int, count: int, rng) -> np.ndarray:
 
 
 def random_pure_state(d: int, rng) -> np.ndarray:
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return g / np.linalg.norm(g)

@@ -109,23 +109,31 @@ def matched_alice_povms(assignment: PovmAssignment) -> list[list[np.ndarray]]:
     return [assignment.povm_elements(m) for m in range(assignment.n_povms)]
 
 
+def _joint_matrices(rho_ab, dims, alice_povms,
+                    bob_assignment: PovmAssignment):
+    """Validate the inputs of a steering check, then yield for each POVM m
+    the joint matrix p[j, l] = p_l p(j | rho_Bl) of Bob's outcome j of E^(m)
+    and Alice's outcome l of F^(m); zero-weight columns stay zero."""
+    rho_ab = _check_inputs(rho_ab, dims, alice_povms, bob_assignment)
+    for m, alice_povm in enumerate(alice_povms):
+        ens = conditioned_ensemble(rho_ab, dims, alice_povm)
+        joint = np.zeros((bob_assignment.n_outcomes, len(ens.weights)))
+        for ell, (w, rho_b, ok) in enumerate(zip(ens.weights, ens.states,
+                                                 ens.valid)):
+            if ok:
+                joint[:, ell] = w * outcome_probabilities(bob_assignment, m, rho_b)
+        yield joint
+
+
 def steering_check_renyi(rho_ab, dims, alice_povms,
                          bob_assignment: PovmAssignment, alpha
                          ) -> SteeringResult:
     """Average Arimoto conditional alpha-entropy of Bob's outcomes given
     Alice's, against the state-independent Renyi bound (alpha >= t)."""
-    rho_ab = _check_inputs(rho_ab, dims, alice_povms, bob_assignment)
+    total = sum(conditional_renyi_arimoto(joint, alpha) for joint in
+                _joint_matrices(rho_ab, dims, alice_povms, bob_assignment))
     design = bob_assignment.design
     n, t = bob_assignment.n_outcomes, design.strength
-    total = 0.0
-    for m, alice_povm in enumerate(alice_povms):
-        ens = conditioned_ensemble(rho_ab, dims, alice_povm)
-        joint = np.zeros((n, len(ens.weights)))
-        for ell, (w, rho_b, ok) in enumerate(zip(ens.weights, ens.states,
-                                                 ens.valid)):
-            if ok:
-                joint[:, ell] = w * outcome_probabilities(bob_assignment, m, rho_b)
-        total += conditional_renyi_arimoto(joint, alpha)
     lhs = float(total / len(alice_povms))
     rhs = float(state_independent_bound(n, design.dimension, t, alpha))
     return SteeringResult(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs - 1e-10)
@@ -135,18 +143,11 @@ def steering_check_maxprob(rho_ab, dims, alice_povms,
                            bob_assignment: PovmAssignment) -> SteeringResult:
     """Average conditioned maximal probability against the state-independent
     Landau-Pollak cap."""
-    rho_ab = _check_inputs(rho_ab, dims, alice_povms, bob_assignment)
+    # Python's sum adds the column maxima in order, as a loop would
+    total = sum(sum(joint.max(axis=0)) for joint in
+                _joint_matrices(rho_ab, dims, alice_povms, bob_assignment))
     design = bob_assignment.design
     n, t = bob_assignment.n_outcomes, design.strength
-    total = 0.0
-    for m, alice_povm in enumerate(alice_povms):
-        ens = conditioned_ensemble(rho_ab, dims, alice_povm)
-        acc = 0.0
-        for w, rho_b, ok in zip(ens.weights, ens.states, ens.valid):
-            if ok:
-                acc += w * float(np.max(
-                    outcome_probabilities(bob_assignment, m, rho_b)))
-        total += acc
     lhs = float(total / len(alice_povms))
     rhs = float(upsilon(n, t, beta_range(n, design.dimension, t)[1]).value)
     return SteeringResult(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + 1e-10)

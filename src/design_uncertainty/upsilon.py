@@ -20,15 +20,12 @@ its relative residual; an uncertified root raises UncertifiedRootError.
 upsilon answers one query.  upsilon_array runs the same iteration on an
 array of beta, element-wise with a masked Newton step and bisection guard,
 for batches; a batch of one goes to upsilon, which is much cheaper for a
-single query.  Closed forms exist for t = 2 and t = 3 (Cardano); one
-explicit Newton step gives the analytic upper estimate used by the weaker
-bounds.
+single query.  One explicit Newton step gives the analytic upper estimate
+used by the weaker bounds.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,39 +184,6 @@ def upsilon_array(n: int, t: int, betas, tol: float = 1e-12) -> UpsilonResult:
                          iters.reshape(shape))
 
 
-def upsilon_closed_t2(n: int, beta: float) -> float:
-    """Closed form for t = 2: (1 + sqrt(n-1) sqrt(n beta - 1)) / n."""
-    beta = _check_query(n, 2, beta)
-    return (1.0 + math.sqrt(n - 1.0) * math.sqrt(max(n * beta - 1.0, 0.0))) / n
-
-
-def upsilon_closed_t3(n: int, beta: float) -> float:
-    """Closed form for t = 3.
-
-    n = 2 degenerates to the quadratic 3y^2 - 3y + 1 = beta; n >= 3 goes
-    through the reduced cubic xi^3 + p xi + q = 0 solved by Cardano with
-    principal complex cube roots (argument in (-pi, pi]).
-    """
-    beta = _check_query(n, 3, beta)
-    if beta <= float(n) ** -2 * (1.0 + 1e-14):
-        return 1.0 / n
-    if n == 2:
-        return 0.5 + math.sqrt(max(4.0 * beta - 1.0, 0.0) / 12.0)
-    a = n * n - 2.0 * n
-    p = -3.0 * (n - 1.0) ** 2 / a**2
-    q = (3.0 * n * n - 6.0 * n + 2.0) / a**3 + (1.0 - (n - 1.0) ** 2 * beta) / a
-    qq = (p / 3.0) ** 3 + (q / 2.0) ** 2
-    sq = cmath.sqrt(complex(qq))
-    xi = (-q / 2.0 + sq) ** (1.0 / 3.0) + (-q / 2.0 - sq) ** (1.0 / 3.0)
-    y = xi.real - 1.0 / a
-    # one Newton step scrubs the cancellation roundoff near Q ~ 0
-    c = (n - 1.0) ** 2
-    fp = 3.0 * (c * y * y - (1.0 - y) ** 2)
-    if fp > 0.0:
-        y -= (c * (y**3 - beta) + (1.0 - y) ** 3) / fp
-    return y
-
-
 def upsilon_nr1(n: int, t: int, beta: float) -> float:
     """One explicit Newton step from beta^{1/t}; a valid analytic upper
     estimate of the root (convexity keeps the tangent above it)."""
@@ -244,10 +208,4 @@ def upsilon_nr1_array(n: int, t: int, betas) -> np.ndarray:
 def chi(k: int, t: int, beta: float) -> float:
     """Relative size of the one-step correction: the single-POVM improvement
     over the baseline min-entropy bound equals -ln(1 - chi) >= chi."""
-    beta = _check_query(k, t, beta)
-    r = beta ** (1.0 / t)
-    denom = t * (k - 1.0) ** (t - 1) * beta ** (1.0 - 1.0 / t) \
-        - t * (1.0 - r) ** (t - 1)
-    if denom <= 0.0:
-        raise ValueError(f"degenerate denominator for k={k}, t={t}, beta={beta}")
-    return (1.0 - r) ** t / (r * denom)
+    return 1.0 - upsilon_nr1(k, t, beta) / beta ** (1.0 / t)

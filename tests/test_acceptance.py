@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from closed_forms import upsilon_closed_t2, upsilon_closed_t3
 
 from design_uncertainty import (admissible_range, assign_povms, audit_state,
                                 beta_parameters, beta_range, bound_prior,
@@ -19,8 +20,7 @@ from design_uncertainty import (admissible_range, assign_povms, audit_state,
                                 power_moments, random_density, random_pure_state,
                                 steering_check_maxprob, steering_check_renyi,
                                 matched_alice_povms, sym_dim_inv, sym_moment,
-                                sym_moment_direct, upsilon, upsilon_closed_t2,
-                                upsilon_closed_t3, verify_design)
+                                sym_moment_direct, upsilon, verify_design)
 
 BUILTINS = [("octahedron", 3), ("icosahedron", 5), ("icosidodecahedron", 5)]
 

@@ -13,8 +13,8 @@ from design_uncertainty import (AlphaBounds, admissible_range,
                                 beta_range, bound_curves, bound_prior,
                                 bound_prop1, bound_prop1_nr, bound_prop2,
                                 builtin_design, density_from_state,
-                                landau_pollak_cap, maximally_mixed,
-                                mub_grouping, outcome_probabilities,
+                                maximally_mixed, mub_grouping,
+                                outcome_probabilities,
                                 outcome_probability_batch, random_density,
                                 renyi_entropies, renyi_entropy, upsilon,
                                 upsilon_array, upsilon_nr1,
@@ -136,7 +136,7 @@ def reference_audit(assignment, rho, alphas, s=None):
     """Oracle: the per-state audit, one scalar query per quantity."""
     t = assignment.design.strength if s is None else s
     n = assignment.n_outcomes
-    bn, bk = beta_parameters(assignment, rho, t, check=True)
+    bn, bk = beta_parameters(assignment, rho, t)
     probs = all_outcome_probabilities(assignment, rho)
     per_alpha = {}
     for alpha in alphas:
@@ -147,7 +147,6 @@ def reference_audit(assignment, rho, alphas, s=None):
             bound_prop1=bound_prop1(n, t, bn),
             bound_prop1_nr=bound_prop1_nr(n, t, bn),
             bound_prop2=bound_prop2(n, t, alpha, bn))
-    actual_max, cap = landau_pollak_cap(assignment, rho, t)
     y_m = [upsilon(n, t, float(np.sum(row**t))).value for row in probs]
     min_ent = np.mean([renyi_entropy(row, math.inf) for row in probs])
     return {
@@ -155,7 +154,8 @@ def reference_audit(assignment, rho, alphas, s=None):
         "beta_m": [float(np.sum(row**t)) for row in probs],
         "purity": float(np.real(np.trace(rho @ rho))),
         "per_alpha": per_alpha,
-        "max_prob_actual": actual_max, "max_prob_cap": cap,
+        "max_prob_actual": float(np.mean(probs.max(axis=1))),
+        "max_prob_cap": upsilon(n, t, bn).value,
         "jensen_ok": float(np.mean(y_m)) <= upsilon(n, t, bn).value + 1e-10,
         "saturated": abs(min_ent - bound_prop1(n, t, bn)) < SAT_ATOL,
     }

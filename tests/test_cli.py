@@ -144,6 +144,13 @@ class TestAudit:
                      "--samples", "30", "--seed", "1"]) == 0
         assert "violations: 0" in capsys.readouterr().out
 
+    def test_alpha_below_s_exit_2(self, capsys):
+        assert main(["audit", "--design", "octahedron", "--samples", "5",
+                     "--alphas", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "error: bound needs alpha >= t" in captured.err
+        assert captured.out == ""
+
 
 class TestSteering:
     def test_entangled_state_reports_violation(self, tmp_path, capsys):
@@ -182,3 +189,14 @@ class TestSteering:
         assert main(["steering", "--state", str(state),
                      "--design", "octahedron"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        {"dims": [2, 2], "matrix": [[[1.0, 0.0], 0.0, [0.0, 0.0], [0.0, 0.0]]]
+         + [[[0.0, 0.0]] * 4] * 3},                  # a number for a pair
+        {"dims": 2, "matrix": [[[0.25, 0.0]] * 4] * 4}])
+    def test_malformed_state_file_exit_2(self, tmp_path, capsys, payload):
+        state = tmp_path / "bad.json"
+        state.write_text(json.dumps(payload))
+        assert main(["steering", "--state", str(state),
+                     "--design", "octahedron"]) == 2
+        assert "error: malformed state file" in capsys.readouterr().err

@@ -38,6 +38,15 @@ class TestBuiltins:
             builtin_design("cube")
 
 
+class TestQuantumDesign:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_row(self, octahedron, bad):
+        vectors = octahedron.vectors.copy()
+        vectors[3, 0] = bad
+        with pytest.raises(ValueError, match="vector 3"):
+            QuantumDesign(dimension=2, strength=3, vectors=vectors)
+
+
 class TestFramePotential:
     def test_octahedron_s3(self, octahedron):
         assert abs(frame_potential(octahedron, 3) - 0.25) < 1e-14
@@ -108,6 +117,16 @@ class TestDesignIO:
         path = tmp_path / "nan.json"
         save_design(octahedron, path)
         path.write_text(path.read_text().replace("1.0", "NaN", 1))
+        with pytest.raises(DesignLoadError):
+            load_design(path)
+
+    @pytest.mark.parametrize("component", [0.5, [0.5, 0.0, 0.0], "x"])
+    def test_rejects_malformed_pair(self, octahedron, tmp_path, component):
+        path = tmp_path / "bad.json"
+        save_design(octahedron, path)
+        raw = json.loads(path.read_text())
+        raw["vectors"][1][0] = component
+        path.write_text(json.dumps(raw))
         with pytest.raises(DesignLoadError):
             load_design(path)
 

@@ -10,8 +10,9 @@ import pytest
 from design_uncertainty import (AlphaBounds, DesignStrengthError,
                                 QuantumDesign, UncertifiedRootError,
                                 assign_povms, audit_states, beta_parameters,
-                                maximally_mixed, random_density, save_design,
-                                upsilon, upsilon_array)
+                                landau_pollak_cap, maximally_mixed,
+                                random_density, save_design, upsilon,
+                                upsilon_array)
 from design_uncertainty.cli import main
 
 # the package re-exports the function upsilon under the module's name
@@ -37,6 +38,8 @@ class TestDesignStrengthError:
             beta_parameters(single, rho, 5)
         with pytest.raises(DesignStrengthError):
             audit_states(single, rho[None], [math.inf])
+        with pytest.raises(DesignStrengthError, match="not a 5-design"):
+            landau_pollak_cap(single, rho, 5)
 
     def test_cli_exit_2(self, fake_5_design, tmp_path, capsys):
         path = tmp_path / "fake5.json"
@@ -46,6 +49,16 @@ class TestDesignStrengthError:
         assert "error:" in captured.err
         assert "identity violated" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_strength_above_5_is_checked(self, octahedron, tmp_path, capsys):
+        # orders above 5 reach the index-of-coincidence check
+        path = tmp_path / "fake6.json"
+        save_design(QuantumDesign(dimension=2, strength=6,
+                                  vectors=octahedron.vectors), path)
+        assert main(["audit", "--design", str(path), "--samples", "5",
+                     "--alphas", "6,inf"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "not a 6-design" in err
 
 
 class TestUncertifiedRootError:

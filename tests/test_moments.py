@@ -6,8 +6,13 @@ import pytest
 from design_uncertainty import (all_outcome_probabilities, assign_povms,
                                 beta_parameters, beta_range, builtin_design,
                                 density_from_state, maximally_mixed,
-                                moment_profile, power_moments, random_density,
-                                sym_dim_inv, sym_moment, sym_moment_direct)
+                                power_moments, random_density, sym_dim_inv,
+                                sym_moment, sym_moment_direct)
+from design_uncertainty.quantum import MAX_TENSOR_DIM
+
+# orders above 5 small enough for the tensor oracle
+HIGH_ORDERS = [(d, s) for d in (2, 3) for s in range(6, 9)
+               if d**s <= MAX_TENSOR_DIM]
 
 
 def explicit_moment(rho, s):
@@ -48,7 +53,7 @@ class TestSymMoment:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            sym_moment(maximally_mixed(2), 6)
+            sym_moment(maximally_mixed(2), 0)
         with pytest.raises(ValueError):
             sym_moment(maximally_mixed(2), 1)
 
@@ -64,6 +69,12 @@ class TestDirectOracle:
             for s in range(2, 6):
                 assert abs(sym_moment(rho, s)
                            - sym_moment_direct(rho, s)) < 1e-10
+
+    @pytest.mark.parametrize("d, s", HIGH_ORDERS)
+    def test_recursion_agrees_above_order_5(self, d, s, rng):
+        for _ in range(2):
+            rho = random_density(d, rng)
+            assert abs(sym_moment(rho, s) - sym_moment_direct(rho, s)) < 1e-10
 
 
 class TestBetaParameters:
@@ -89,7 +100,7 @@ class TestBetaParameters:
         for _ in range(25):
             rho = random_density(2, rng)
             for s in (2, 3):
-                bn, _ = beta_parameters(oct_mub, rho, s, check=True)
+                bn, _ = beta_parameters(oct_mub, rho, s)
                 probs = all_outcome_probabilities(oct_mub, rho)
                 assert abs(np.sum(probs**s) - 3 * bn) < 1e-10
 
@@ -119,18 +130,7 @@ class TestBetaRange:
     def test_mixed_state_unit_identity(self):
         # d^s * sym_dim_inv * h_s(rho*) = 1 exactly
         for d in (2, 3, 4):
-            for s in range(2, 6):
+            for s in range(2, 9):
                 val = sym_moment(maximally_mixed(d), s)
                 assert abs(d**s * sym_dim_inv(d, s) * val - 1.0) < 1e-12
 
-
-class TestMomentProfile:
-    def test_profile_consistency(self, oct_single, rng):
-        rho = random_density(2, rng)
-        prof = moment_profile(oct_single, rho)
-        assert set(prof.values) == {2, 3}
-        for s in (2, 3):
-            bn, bk = beta_parameters(oct_single, rho, s, check=False)
-            assert prof.beta_n[s] == pytest.approx(bn)
-            assert prof.beta[s] == pytest.approx(bk)
-            assert prof.values[s] <= 1.0 + 1e-12

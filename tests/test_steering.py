@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from design_uncertainty import (assign_povms, builtin_design,
+                                conditional_renyi_arimoto,
                                 conditioned_ensemble, density_from_state,
                                 matched_alice_povms, maximally_mixed,
-                                mub_grouping, partial_trace, random_density,
-                                renyi_entropy, steering_check_maxprob,
-                                steering_check_renyi, upsilon)
+                                mub_grouping, outcome_probabilities,
+                                partial_trace, random_density, renyi_entropy,
+                                steering_check_maxprob, steering_check_renyi,
+                                upsilon)
 
 DIMS = (2, 2)
 
@@ -171,3 +173,43 @@ class TestInputValidation:
             res = check(rho, DIMS, alice, mub)
             assert type(res.lhs) is float and type(res.rhs) is float
             assert type(res.satisfied) is bool
+
+
+def loop_oracle(rho_ab, alice, bob, alpha):
+    """Oracle: both left-hand sides from per-element loops over each Alice
+    POVM's conditioned ensemble, one Bob distribution per valid outcome."""
+    renyi = maxprob = 0.0
+    for m, povm in enumerate(alice):
+        ens = conditioned_ensemble(rho_ab, DIMS, povm)
+        joint = np.zeros((bob.n_outcomes, len(ens.weights)))
+        acc = 0.0
+        for ell, (w, rho_b, ok) in enumerate(zip(ens.weights, ens.states,
+                                                 ens.valid)):
+            if ok:
+                probs = outcome_probabilities(bob, m, rho_b)
+                joint[:, ell] = w * probs
+                acc += w * float(np.max(probs))
+        renyi += conditional_renyi_arimoto(joint, alpha)
+        maxprob += acc
+    return renyi / len(alice), maxprob / len(alice)
+
+
+class TestAgainstLoopOracle:
+    @pytest.mark.parametrize("grouping", ["mub", "single"])
+    def test_bit_equal_on_seeded_states(self, grouping, rng):
+        bob = assign_povms(builtin_design("octahedron"),
+                           mub_grouping() if grouping == "mub" else grouping)
+        alice = matched_alice_povms(bob)
+        states = [bell_state(),
+                  np.kron(density_from_state([1, 0]), maximally_mixed(2))]
+        for _ in range(20):
+            v = rng.uniform()
+            states += [random_density(4, rng), random_separable(rng),
+                       v * bell_state() + (1 - v) * np.eye(4) / 4]
+        for rho_ab in states:
+            for alpha in (3, 5, math.inf):
+                renyi, maxprob = loop_oracle(rho_ab, alice, bob, alpha)
+                assert steering_check_renyi(rho_ab, DIMS, alice, bob,
+                                            alpha).lhs == renyi
+            assert steering_check_maxprob(rho_ab, DIMS, alice,
+                                          bob).lhs == maxprob

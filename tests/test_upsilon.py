@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from closed_forms import upsilon_closed_t2, upsilon_closed_t3
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from design_uncertainty import (admissible_range, chi, upsilon,
-                                upsilon_closed_t2, upsilon_closed_t3,
-                                upsilon_nr1)
+from design_uncertainty import admissible_range, chi, upsilon, upsilon_nr1
 
 GRID_CASES = [(2, 3), (6, 3), (12, 5), (30, 5)]
 
