@@ -8,7 +8,7 @@ from .bounds import (AlphaBounds, AuditBatch, BoundCurves, BoundReport,
                      audit_state, audit_states, bound_curves, bound_prior,
                      bound_prop1, bound_prop1_nr, bound_prop2,
                      landau_pollak_cap, mub_min_bound,
-                     state_independent_bound)
+                     state_independent_bound, state_independent_cap)
 from .designs import (AssignmentError, DesignLoadError, DesignStrengthError,
                       PovmAssignment, QuantumDesign, VerificationReport,
                       all_outcome_probabilities, assign_povms, builtin_design,

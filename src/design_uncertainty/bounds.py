@@ -11,13 +11,16 @@ as functions of the rescaled index of coincidence beta_n:
                   valid for alpha >= t, equal to bound_prop1 at alpha = inf.
 
 Landau-Pollak style caps bound the average maximal probability from above by
-Y(n, t, beta_n).  audit_states evaluates everything for a stack of states
+Y(n, t, beta_n).  state_independent_bound and state_independent_cap take
+beta_n at the design's ceiling, valid for every state; that root is solved
+once per design.  audit_states evaluates everything for a stack of states
 and checks the actual entropies against the bounds; audit_state is its view
 on one state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -139,7 +142,8 @@ class AuditBatch:
 
 
 def _check_alpha(t: int, alpha) -> None:
-    if not math.isinf(alpha) and alpha < t:
+    # written so that NaN and -inf fail it
+    if not alpha >= t:
         raise ValueError(f"bound needs alpha >= t, got alpha={alpha}, t={t}")
 
 
@@ -177,8 +181,6 @@ def bound_prop1_nr(n: int, t: int, beta_n: float) -> float:
 def bound_prop2(n: int, t: int, alpha, beta_n: float) -> float:
     """Renyi bound for alpha >= t; reduces to the baseline at alpha = t and
     to bound_prop1 at alpha = inf."""
-    if math.isinf(alpha):
-        return bound_prop1(n, t, beta_n)
     _check_alpha(t, alpha)
     return float(_prop2(t, alpha, beta_n, upsilon(n, t, beta_n).value))
 
@@ -207,11 +209,20 @@ def bound_curves(n: int, t: int, betas, alphas) -> BoundCurves:
         bound_prop2=tuple(_prop2(t, alpha, betas, y) for alpha in alphas))
 
 
+@functools.lru_cache(maxsize=None)
+def state_independent_cap(n: int, d: int, t: int) -> float:
+    """Y(n, t, beta_hi) at the state-independent ceiling
+    beta_hi = n^{1-t} d^t / dim_sym: a constant of the design, so each
+    design's root is solved once."""
+    return upsilon(n, t, beta_range(n, d, t)[1]).value
+
+
 def state_independent_bound(n: int, d: int, t: int, alpha) -> float:
-    """bound_prop2 evaluated at the state-independent ceiling
-    beta_n = n^{1-t} d^t / dim_sym, valid for every state."""
-    beta_hi = beta_range(n, d, t)[1]
-    return bound_prop2(n, t, alpha, beta_hi)
+    """bound_prop2 evaluated at the state-independent ceiling beta_hi,
+    valid for every state."""
+    _check_alpha(t, alpha)
+    return float(_prop2(t, alpha, beta_range(n, d, t)[1],
+                        state_independent_cap(n, d, t)))
 
 
 def landau_pollak_cap(assignment: PovmAssignment, rho, s: int

@@ -85,7 +85,8 @@ def cmd_sweep(args) -> int:
     check_order(assignment, s)
     lo, hi = beta_range(n, d, s)
     grid = np.linspace(lo, hi, args.points)
-    finite_alphas = [a for a in _parse_alphas(args.alphas) if not math.isinf(a)]
+    # alpha = inf is bound_prop1's column; -inf and NaN fail bound_curves
+    finite_alphas = [a for a in _parse_alphas(args.alphas) if a != math.inf]
 
     header = ["beta_bar", "bound_prior", "bound_prop1", "bound_prop1_nr"]
     header += [f"bound_prop2_alpha{_fmt(a)}" for a in finite_alphas]
@@ -142,7 +143,10 @@ def cmd_steering(args) -> int:
     design = _get_design(args.design)
     assignment = _get_assignment(design, args.grouping)
     alice = matched_alice_povms(assignment)
-    alpha = _parse_alphas(args.alpha)[0]
+    alphas = _parse_alphas(args.alpha)
+    if len(alphas) != 1:
+        raise ValueError(f"--alpha takes one value, got {args.alpha!r}")
+    alpha = alphas[0]
     res_r = steering_check_renyi(rho_ab, dims, alice, assignment, alpha)
     res_m = steering_check_maxprob(rho_ab, dims, alice, assignment)
     print(f"renyi (alpha={args.alpha}): lhs={_fmt(res_r.lhs)} "

@@ -20,12 +20,17 @@ def renyi_entropies(p, alpha) -> np.ndarray:
     distributions along the last axis of p.
 
     alpha = 1 gives the Shannon entropy, alpha = math.inf -ln max(p).
+    ValueError unless every distribution is non-negative and sums to 1
+    within 1e-10.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-10):
-        raise ValueError("negative probability")
+    # each test is written so that NaN fails it
+    if not p.min() >= -1e-10:
+        raise ValueError("negative or NaN probability")
+    if not np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-10:
+        raise ValueError("probabilities do not sum to 1")
     p = np.where(p < PROB_FLOOR, 0.0, p)
     if math.isinf(alpha):
         return -np.log(np.max(p, axis=-1))
@@ -43,11 +48,13 @@ def renyi_entropy(p, alpha) -> float:
 def conditional_renyi_arimoto(joint, alpha) -> float:
     """Arimoto conditional Renyi entropy R_alpha(X|Z) of a joint matrix
     p[x, z].  Columns of zero weight contribute nothing."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     joint = np.asarray(joint, dtype=float)
     if joint.ndim != 2:
         raise ValueError("joint distribution must be a 2d matrix p[x, z]")
+    if not joint.min() >= -1e-10:
+        raise ValueError("negative or NaN probability")
     joint = np.where(joint < PROB_FLOOR, 0.0, joint)
     pz = joint.sum(axis=0)
     total = pz.sum()

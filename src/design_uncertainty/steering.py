@@ -9,17 +9,14 @@ for every unsteerable state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import state_independent_bound
+from .bounds import state_independent_bound, state_independent_cap
 from .designs import PovmAssignment, outcome_probabilities
 from .entropy import conditional_renyi_arimoto
-from .moments import beta_range
 from .quantum import PSD_ATOL, check_density, partial_trace
-from .upsilon import upsilon
 
 
 @dataclass(frozen=True)
@@ -130,12 +127,12 @@ def steering_check_renyi(rho_ab, dims, alice_povms,
                          ) -> SteeringResult:
     """Average Arimoto conditional alpha-entropy of Bob's outcomes given
     Alice's, against the state-independent Renyi bound (alpha >= t)."""
-    total = sum(conditional_renyi_arimoto(joint, alpha) for joint in
-                _joint_matrices(rho_ab, dims, alice_povms, bob_assignment))
     design = bob_assignment.design
     n, t = bob_assignment.n_outcomes, design.strength
+    rhs = state_independent_bound(n, design.dimension, t, alpha)
+    total = sum(conditional_renyi_arimoto(joint, alpha) for joint in
+                _joint_matrices(rho_ab, dims, alice_povms, bob_assignment))
     lhs = float(total / len(alice_povms))
-    rhs = float(state_independent_bound(n, design.dimension, t, alpha))
     return SteeringResult(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs - 1e-10)
 
 
@@ -149,5 +146,5 @@ def steering_check_maxprob(rho_ab, dims, alice_povms,
     design = bob_assignment.design
     n, t = bob_assignment.n_outcomes, design.strength
     lhs = float(total / len(alice_povms))
-    rhs = float(upsilon(n, t, beta_range(n, design.dimension, t)[1]).value)
+    rhs = state_independent_cap(n, design.dimension, t)
     return SteeringResult(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + 1e-10)

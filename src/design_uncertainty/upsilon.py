@@ -3,8 +3,8 @@
     (n-1)^{t-1} y^t + (1 - y)^t = (n-1)^{t-1} beta,
 
 which caps the largest outcome probability when the order-t index of
-coincidence equals beta.  The default path is Newton's method started at
-beta^{1/t} (always above the root, so the convex branch converges from
+coincidence equals beta.  One iteration finds it: Newton's method started
+at beta^{1/t} (always above the root, so the convex branch converges from
 above), with a bisection guard on the bracket [1/n, beta^{1/t}].
 
 Every evaluated point becomes a bracket endpoint, every new iterate lies in
@@ -17,11 +17,10 @@ catches.  The stop also covers bracket collapse, where the bisection
 midpoint of two adjacent floats is one of them.  Every root is certified by
 its relative residual; an uncertified root raises UncertifiedRootError.
 
-upsilon answers one query.  upsilon_array runs the same iteration on an
-array of beta, element-wise with a masked Newton step and bisection guard,
-for batches; a batch of one goes to upsilon, which is much cheaper for a
-single query.  One explicit Newton step gives the analytic upper estimate
-used by the weaker bounds.
+upsilon_array runs the iteration on an array of beta, element-wise with a
+masked Newton step and bisection guard; upsilon is its view on one beta.
+One explicit Newton step gives the analytic upper estimate used by the
+weaker bounds.
 """
 
 from __future__ import annotations
@@ -34,16 +33,15 @@ MAX_ITER = 200
 
 
 class UncertifiedRootError(RuntimeError):
-    """Raised when a root's relative residual exceeds the tolerance."""
+    """Raised when a root's relative residual exceeds 1e-12."""
 
 
 @dataclass(frozen=True)
 class UpsilonResult:
-    """A root with its certificate.  upsilon_array fills every field but
-    method with an array of the shape of its input."""
+    """A root with its certificate.  upsilon fills the fields with a float
+    and an int, upsilon_array with arrays of the shape of its input."""
 
     value: float
-    method: str
     residual: float   # |y^t/beta + (1-y)^t / ((n-1)^{t-1} beta) - 1|
     iterations: int
 
@@ -53,18 +51,9 @@ def admissible_range(n: int, t: int) -> tuple[float, float]:
     return float(n) ** (1 - t), 1.0
 
 
-def _check_query(n: int, t: int, beta: float) -> float:
-    if n < 2 or t < 2:
-        raise ValueError(f"need n >= 2 and t >= 2, got n={n}, t={t}")
-    lo, hi = admissible_range(n, t)
-    if not lo - 1e-12 <= beta <= hi + 1e-12:     # also rejects NaN
-        raise ValueError(f"beta={beta} outside admissible [{lo}, {hi}] "
-                         f"for n={n}, t={t}")
-    return min(max(beta, lo), hi)
-
-
 def _check_queries(n: int, t: int, betas) -> np.ndarray:
-    """_check_query for an array of beta."""
+    """beta clamped into the admissible range; ValueError outside it, and
+    for NaN."""
     if n < 2 or t < 2:
         raise ValueError(f"need n >= 2 and t >= 2, got n={n}, t={t}")
     betas = np.asarray(betas, dtype=float)
@@ -76,73 +65,11 @@ def _check_queries(n: int, t: int, betas) -> np.ndarray:
     return np.clip(betas, lo, hi)
 
 
-def _residual(n: int, t: int, beta, y):
-    """Relative residual; beta and y may be arrays."""
-    c = float(n - 1) ** (t - 1)
-    return abs(y**t / beta + (1.0 - y) ** t / (c * beta) - 1.0)
-
-
-def _uncertified(n: int, t: int, beta: float, res: float):
-    return UncertifiedRootError(f"Newton failed to converge: n={n}, t={t}, "
-                                f"beta={beta}, residual={res}")
-
-
-def upsilon(n: int, t: int, beta: float, tol: float = 1e-12) -> UpsilonResult:
-    """Maximal real root by guarded Newton iteration."""
-    beta = _check_query(n, t, beta)
-    lo, _ = admissible_range(n, t)
-    c = float(n - 1) ** (t - 1)
-    # exact corner cases: the floor gives 1/n, the ceiling gives 1
-    if beta <= lo * (1.0 + 1e-14):
-        return UpsilonResult(1.0 / n, "newton", _residual(n, t, beta, 1.0 / n), 0)
-    if beta >= 1.0 - 1e-15:
-        return UpsilonResult(1.0, "newton", 0.0, 0)
-
-    def f(y: float) -> float:
-        return c * (y**t - beta) + (1.0 - y) ** t
-
-    def fp(y: float) -> float:
-        return t * (c * y ** (t - 1) - (1.0 - y) ** (t - 1))
-
-    ylo, yhi = 1.0 / n, beta ** (1.0 / t)   # f(ylo) <= 0 <= f(yhi)
-    y = yhi
-    for it in range(1, MAX_ITER + 1):
-        fy = f(y)
-        if fy > 0.0:
-            yhi = y
-        else:
-            ylo = y
-        d = fp(y)
-        step_ok = d != 0.0
-        if step_ok:
-            ynew = y - fy / d
-            step_ok = ylo <= ynew <= yhi
-        if not step_ok:
-            ynew = 0.5 * (ylo + yhi)
-        # y is now one of the endpoints, so this also catches ynew == y
-        if (ynew == ylo or ynew == yhi
-                or abs(ynew - y) < 1e-17 * max(1.0, abs(y))):
-            y = ynew
-            break
-        y = ynew
-    else:
-        it = MAX_ITER
-    res = _residual(n, t, beta, y)
-    if res > max(tol, 1e-12):
-        raise _uncertified(n, t, beta, res)
-    return UpsilonResult(y, "newton", res, it)
-
-
-def upsilon_array(n: int, t: int, betas, tol: float = 1e-12) -> UpsilonResult:
-    """Maximal real roots for an array of beta: the iteration of upsilon,
+def upsilon_array(n: int, t: int, betas) -> UpsilonResult:
+    """Maximal real roots for an array of beta by guarded Newton iteration,
     element-wise.  Finished elements leave the working set, so each step
     costs only the elements still moving."""
     betas = np.asarray(betas, dtype=float)
-    if betas.size == 1:
-        r = upsilon(n, t, float(betas.reshape(())), tol)
-        return UpsilonResult(np.full(betas.shape, r.value), r.method,
-                             np.full(betas.shape, r.residual),
-                             np.full(betas.shape, r.iterations))
     beta = _check_queries(n, t, betas).ravel()
     lo, _ = admissible_range(n, t)
     c = float(n - 1) ** (t - 1)
@@ -175,13 +102,25 @@ def upsilon_array(n: int, t: int, betas, tol: float = 1e-12) -> UpsilonResult:
     y_out[idx] = y
     iters[idx] = MAX_ITER
 
-    res = np.where(beta >= 1.0 - 1e-15, 0.0, _residual(n, t, beta, y_out))
+    # relative residual |y^t/beta + (1-y)^t / (c beta) - 1|
+    res = np.where(beta >= 1.0 - 1e-15, 0.0,
+                   abs(y_out**t / beta
+                       + (1.0 - y_out) ** t / (c * beta) - 1.0))
     worst = int(np.argmax(res)) if res.size else 0
-    if res.size and res[worst] > max(tol, 1e-12):
-        raise _uncertified(n, t, beta[worst], res[worst])
+    if res.size and res[worst] > 1e-12:
+        raise UncertifiedRootError(
+            f"Newton failed to converge: n={n}, t={t}, beta={beta[worst]}, "
+            f"residual={res[worst]}")
     shape = betas.shape
-    return UpsilonResult(y_out.reshape(shape), "newton", res.reshape(shape),
+    return UpsilonResult(y_out.reshape(shape), res.reshape(shape),
                          iters.reshape(shape))
+
+
+def upsilon(n: int, t: int, beta: float) -> UpsilonResult:
+    """Maximal real root for one beta: the view of upsilon_array on a 0-d
+    array."""
+    r = upsilon_array(n, t, float(beta))
+    return UpsilonResult(float(r.value), float(r.residual), int(r.iterations))
 
 
 def upsilon_nr1(n: int, t: int, beta: float) -> float:

@@ -1,10 +1,15 @@
-"""Closed forms of the maximal root Y(n, t, beta) for t = 2 and t = 3, kept
-as oracles for the Newton solver, which serves every t."""
+"""Oracles for the maximal root Y(n, t, beta): the closed forms for t = 2
+and t = 3, a high-precision mpmath root for every t, and a scalar float
+Newton iteration kept as the per-query reference for the array solver."""
 
 import cmath
 import math
 
-from design_uncertainty import admissible_range
+import mpmath
+
+from design_uncertainty import (UncertifiedRootError, UpsilonResult,
+                                admissible_range)
+from design_uncertainty.upsilon import MAX_ITER
 
 
 def _clamped(n, t, beta):
@@ -47,3 +52,75 @@ def upsilon_closed_t3(n: int, beta: float) -> float:
     if fp > 0.0:
         y -= (c * (y**3 - beta) + (1.0 - y) ** 3) / fp
     return y
+
+
+def upsilon_mp(n: int, t: int, beta) -> mpmath.mpf:
+    """Y(n, t, beta) for the float beta taken exactly, at the working
+    precision (call inside mpmath.workdps).  Newton's method from
+    beta^{1/t}, which lies above the root, decreases onto it because f is
+    convex and increasing there."""
+    b = mpmath.mpf(beta)
+    c = mpmath.mpf(n - 1) ** (t - 1)
+    y = b ** (mpmath.mpf(1) / t)
+    tiny = mpmath.mpf(10) ** (2 - mpmath.mp.dps)
+    for _ in range(1000):
+        step = (c * (y**t - b) + (1 - y) ** t) \
+            / (t * (c * y ** (t - 1) - (1 - y) ** (t - 1)))
+        y -= step
+        if abs(step) <= tiny * y:
+            return y
+    raise ArithmeticError(f"mpmath Newton did not settle: n={n}, t={t}, "
+                          f"beta={beta}")
+
+
+def upsilon_newton(n: int, t: int, beta: float) -> UpsilonResult:
+    """Maximal real root by the guarded Newton iteration of upsilon_array,
+    written with Python floats for one query: the bracket, the bisection
+    guard, the repeated-iterate stop and the residual certificate."""
+    beta = _clamped(n, t, beta)
+    lo, _ = admissible_range(n, t)
+    c = float(n - 1) ** (t - 1)
+
+    def residual(y):
+        return abs(y**t / beta + (1.0 - y) ** t / (c * beta) - 1.0)
+
+    # exact corner cases: the floor gives 1/n, the ceiling gives 1
+    if beta <= lo * (1.0 + 1e-14):
+        return UpsilonResult(1.0 / n, residual(1.0 / n), 0)
+    if beta >= 1.0 - 1e-15:
+        return UpsilonResult(1.0, 0.0, 0)
+
+    def f(y: float) -> float:
+        return c * (y**t - beta) + (1.0 - y) ** t
+
+    def fp(y: float) -> float:
+        return t * (c * y ** (t - 1) - (1.0 - y) ** (t - 1))
+
+    ylo, yhi = 1.0 / n, beta ** (1.0 / t)   # f(ylo) <= 0 <= f(yhi)
+    y = yhi
+    for it in range(1, MAX_ITER + 1):
+        fy = f(y)
+        if fy > 0.0:
+            yhi = y
+        else:
+            ylo = y
+        d = fp(y)
+        step_ok = d != 0.0
+        if step_ok:
+            ynew = y - fy / d
+            step_ok = ylo <= ynew <= yhi
+        if not step_ok:
+            ynew = 0.5 * (ylo + yhi)
+        # y is now one of the endpoints, so this also catches ynew == y
+        if (ynew == ylo or ynew == yhi
+                or abs(ynew - y) < 1e-17 * max(1.0, abs(y))):
+            y = ynew
+            break
+        y = ynew
+    else:
+        it = MAX_ITER
+    res = residual(y)
+    if res > 1e-12:
+        raise UncertifiedRootError(f"Newton failed to converge: n={n}, "
+                                   f"t={t}, beta={beta}, residual={res}")
+    return UpsilonResult(y, res, it)

@@ -12,15 +12,16 @@ import pytest
 from closed_forms import upsilon_closed_t2, upsilon_closed_t3
 
 from design_uncertainty import (admissible_range, assign_povms, audit_state,
-                                beta_parameters, beta_range, bound_prior,
-                                bound_prop1, bound_prop1_nr, bound_prop2,
+                                beta_parameters, beta_range, bound_curves,
+                                bound_prior, bound_prop1, bound_prop2,
                                 builtin_design, density_from_state,
                                 maximally_mixed, min_entropy, mub_grouping,
                                 mub_min_bound, outcome_probabilities,
                                 power_moments, random_density, random_pure_state,
                                 steering_check_maxprob, steering_check_renyi,
                                 matched_alice_povms, sym_dim_inv, sym_moment,
-                                sym_moment_direct, upsilon, verify_design)
+                                sym_moment_direct, upsilon, upsilon_array,
+                                verify_design)
 
 BUILTINS = [("octahedron", 3), ("icosahedron", 5), ("icosidodecahedron", 5)]
 
@@ -146,12 +147,12 @@ def test_08_root_solver():
         beta = rng.uniform(lo, hi)
         assert abs(upsilon(n, t, beta).value - bisect(n, t, beta)) < 1e-12
     for n in (2, 3, 6, 12, 30, 64):
-        for beta in np.linspace(*admissible_range(n, 2), 50):
-            assert abs(upsilon_closed_t2(n, beta)
-                       - upsilon(n, 2, beta).value) < 1e-10
-        for beta in np.linspace(*admissible_range(n, 3), 50):
-            assert abs(upsilon_closed_t3(n, beta)
-                       - upsilon(n, 3, beta).value) < 1e-10
+        betas = np.linspace(*admissible_range(n, 2), 50)
+        for beta, y in zip(betas, upsilon_array(n, 2, betas).value):
+            assert abs(upsilon_closed_t2(n, beta) - y) < 1e-10
+        betas = np.linspace(*admissible_range(n, 3), 50)
+        for beta, y in zip(betas, upsilon_array(n, 3, betas).value):
+            assert abs(upsilon_closed_t3(n, beta) - y) < 1e-10
         for t in (2, 3, 4, 5):
             assert abs(upsilon(n, t, float(n) ** (1 - t)).value
                        - 1.0 / n) < 1e-12
@@ -162,14 +163,14 @@ def test_09_shape_properties_and_jensen():
     t0 = time.perf_counter()
     for n, t in [(2, 3), (6, 3), (12, 5), (30, 5)]:
         grid = np.linspace(*admissible_range(n, t), 100)
-        ys = np.array([upsilon(n, t, b).value for b in grid])
+        ys = upsilon_array(n, t, grid).value
         assert np.all(np.diff(ys) > 0)
         assert np.all(np.diff(ys, 2) <= 1e-9)
     mub = assign_povms(builtin_design("octahedron"), mub_grouping())
     rng = np.random.default_rng(9)
     for _ in range(100):
         rep = audit_state(mub, random_density(2, rng), [math.inf])
-        avg = np.mean([upsilon(2, 3, b).value for b in rep.beta_m])
+        avg = np.mean(upsilon_array(2, 3, rep.beta_m).value)
         assert avg <= upsilon(2, 3, rep.beta_n).value + 1e-12
         assert rep.jensen_ok
     report(9, "monotone/concave root curve and Jensen averaging step", t0)
@@ -183,10 +184,10 @@ def test_10_bound_validity_sweep():
         assignment = assign_povms(design, "single")
         n, d = assignment.n_outcomes, design.dimension
         # figure-data rows: ordering invariant on a fine grid
-        for b in np.linspace(*beta_range(n, d, t), 200):
-            prior = bound_prior(n, t, b, math.inf)
-            nr = bound_prop1_nr(n, t, b)
-            p1 = bound_prop1(n, t, b)
+        curves = bound_curves(n, t, np.linspace(*beta_range(n, d, t), 200),
+                              [])
+        for prior, nr, p1 in zip(curves.bound_prior, curves.bound_prop1_nr,
+                                 curves.bound_prop1):
             assert p1 >= nr - 1e-12 >= prior - 2e-12
         alphas = [t, 2 * t, math.inf]
         for _ in range(1000):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from closed_forms import upsilon_newton
 
 from design_uncertainty import (AlphaBounds, admissible_range,
                                 all_outcome_probabilities, assign_povms,
@@ -51,7 +52,7 @@ class TestStopRule:
     @pytest.mark.parametrize("grid", [linspace_grid, floor_grid])
     def test_iterations_bounded(self, n, t, grid):
         betas = grid(n, t)
-        scalar = max(upsilon(n, t, b).iterations for b in betas)
+        scalar = max(upsilon_newton(n, t, b).iterations for b in betas)
         array = upsilon_array(n, t, betas).iterations.max()
         assert scalar <= ITER_LIMIT < MAX_ITER
         assert array <= ITER_LIMIT
@@ -62,7 +63,7 @@ class TestArraySolver:
     def test_matches_scalar(self, n, t):
         betas = linspace_grid(n, t)
         res = upsilon_array(n, t, betas)
-        ys = np.array([upsilon(n, t, b).value for b in betas])
+        ys = np.array([upsilon_newton(n, t, b).value for b in betas])
         assert np.all(np.abs(res.value - ys) <= 1e-15 * ys)
         assert np.all(res.residual <= 1e-12)
 
@@ -72,7 +73,7 @@ class TestArraySolver:
         # about sqrt(e), so the two solvers may part in the ninth digit
         betas = floor_grid(n, t)
         res = upsilon_array(n, t, betas)
-        ys = np.array([upsilon(n, t, b).value for b in betas])
+        ys = np.array([upsilon_newton(n, t, b).value for b in betas])
         assert np.all(np.abs(res.value - ys) <= 1e-8 * ys)
         assert np.all(res.residual <= 1e-12)
 
@@ -83,15 +84,26 @@ class TestArraySolver:
         assert res.value.shape == res.iterations.shape == betas.shape
         assert res.value[0, 0] == 1 / 6 and res.iterations[0, 0] == 0
         assert res.value[1, 1] == 1.0 and res.residual[1, 1] == 0.0
-        assert res.value[0, 1] == pytest.approx(upsilon(6, 3, 0.028).value,
-                                                rel=1e-15)
+        assert res.value[0, 1] == pytest.approx(
+            upsilon_newton(6, 3, 0.028).value, rel=1e-15)
 
-    def test_single_query_goes_to_scalar(self):
-        res = upsilon_array(6, 3, [0.05])
-        ref = upsilon(6, 3, 0.05)
-        assert res.value.shape == (1,)
-        assert res.value[0] == ref.value
-        assert res.iterations[0] == ref.iterations
+    @pytest.mark.parametrize("n, t", GRID_CASES)
+    def test_zero_d_query_matches_batch(self, n, t):
+        # upsilon is the view of upsilon_array on a 0-d array, and a query
+        # alone gives the same floats as the same beta inside a batch
+        betas = np.concatenate([linspace_grid(n, t, 40), floor_grid(n, t, 10)])
+        batch = upsilon_array(n, t, betas)
+        for i, beta in enumerate(betas):
+            alone = upsilon_array(n, t, beta)
+            assert alone.value.shape == ()
+            view = upsilon(n, t, beta)
+            assert type(view.value) is float
+            assert type(view.residual) is float
+            assert type(view.iterations) is int
+            for one in (alone, view):
+                assert one.value == batch.value[i]
+                assert one.residual == batch.residual[i]
+                assert one.iterations == batch.iterations[i]
 
     def test_empty(self):
         assert upsilon_array(6, 3, []).value.shape == (0,)
@@ -133,21 +145,26 @@ class TestBoundCurves:
 
 
 def reference_audit(assignment, rho, alphas, s=None):
-    """Oracle: the per-state audit, one scalar query per quantity."""
+    """Oracle: the per-state audit, one scalar query per quantity, with
+    the roots from the scalar reference solver."""
     t = assignment.design.strength if s is None else s
     n = assignment.n_outcomes
     bn, bk = beta_parameters(assignment, rho, t)
     probs = all_outcome_probabilities(assignment, rho)
+    y = upsilon_newton(n, t, bn).value
+    y_m = [upsilon_newton(n, t, float(np.sum(row**t))).value
+           for row in probs]
     per_alpha = {}
     for alpha in alphas:
+        prop2 = -math.log(y) if math.isinf(alpha) else \
+            -((alpha - t) * math.log(y) + math.log(bn)) / (alpha - 1)
         per_alpha[alpha] = AlphaBounds(
             actual=float(np.mean([renyi_entropy(row, alpha)
                                   for row in probs])),
             bound_prior=bound_prior(n, t, bn, alpha),
-            bound_prop1=bound_prop1(n, t, bn),
+            bound_prop1=-math.log(y),
             bound_prop1_nr=bound_prop1_nr(n, t, bn),
-            bound_prop2=bound_prop2(n, t, alpha, bn))
-    y_m = [upsilon(n, t, float(np.sum(row**t))).value for row in probs]
+            bound_prop2=prop2)
     min_ent = np.mean([renyi_entropy(row, math.inf) for row in probs])
     return {
         "beta_n": bn, "beta": bk,
@@ -155,9 +172,9 @@ def reference_audit(assignment, rho, alphas, s=None):
         "purity": float(np.real(np.trace(rho @ rho))),
         "per_alpha": per_alpha,
         "max_prob_actual": float(np.mean(probs.max(axis=1))),
-        "max_prob_cap": upsilon(n, t, bn).value,
-        "jensen_ok": float(np.mean(y_m)) <= upsilon(n, t, bn).value + 1e-10,
-        "saturated": abs(min_ent - bound_prop1(n, t, bn)) < SAT_ATOL,
+        "max_prob_cap": y,
+        "jensen_ok": float(np.mean(y_m)) <= y + 1e-10,
+        "saturated": abs(min_ent + math.log(y)) < SAT_ATOL,
     }
 
 

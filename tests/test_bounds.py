@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from closed_forms import upsilon_newton
 
 from design_uncertainty import (assign_povms, audit_state, beta_parameters,
                                 beta_range, bound_prior, bound_prop1,
                                 bound_prop1_nr, bound_prop2, builtin_design,
                                 chi, density_from_state, landau_pollak_cap,
                                 maximally_mixed, mub_min_bound, mub_grouping,
-                                random_density, state_independent_bound,
-                                upsilon)
+                                random_density, state_independent_bound)
 
 
 class TestBoundPrior:
@@ -95,7 +95,7 @@ class TestBoundProp2:
 
 class TestStateIndependent:
     def test_octahedron_single(self):
-        expected = -math.log(upsilon(6, 3, 1 / 18).value)
+        expected = -math.log(upsilon_newton(6, 3, 1 / 18).value)
         assert state_independent_bound(6, 2, 3, math.inf) == pytest.approx(
             expected, abs=1e-12)
 
@@ -121,13 +121,15 @@ class TestLandauPollak:
         actual, cap = landau_pollak_cap(oct_single,
                                         density_from_state([1, 0]), 3)
         assert actual == pytest.approx(1 / 3, abs=1e-12)
-        assert cap == pytest.approx(upsilon(6, 3, 1 / 18).value, abs=1e-12)
+        assert cap == pytest.approx(upsilon_newton(6, 3, 1 / 18).value,
+                                    abs=1e-12)
         assert actual <= cap
 
     def test_mub_pure_z(self, oct_mub):
         actual, cap = landau_pollak_cap(oct_mub, density_from_state([1, 0]), 3)
         assert actual == pytest.approx(2 / 3, abs=1e-12)
-        assert cap == pytest.approx(upsilon(2, 3, 0.5).value, abs=1e-12)
+        assert cap == pytest.approx(upsilon_newton(2, 3, 0.5).value,
+                                    abs=1e-12)
         assert actual <= cap
 
     def test_random_states_capped(self, oct_single, oct_mub, rng):

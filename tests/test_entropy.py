@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from design_uncertainty import (conditional_renyi_arimoto, min_entropy,
-                                renyi_entropy, shannon_entropy)
+                                renyi_entropies, renyi_entropy,
+                                shannon_entropy)
 
 ALPHA_GRID = [0.5, 1, 2, 3, 5, 10, math.inf]
 
@@ -34,6 +35,32 @@ class TestRenyiEntropy:
             renyi_entropy([0.5, 0.5], 0)
         with pytest.raises(ValueError):
             renyi_entropy([0.5, 0.5], -1)
+
+    @pytest.mark.parametrize("p", [[math.nan, 0.5], [0.5, math.nan],
+                                   [math.inf, 0.0], [1.0, -math.inf],
+                                   [0.3, 0.3], [0.6, 0.6], [0.5, -0.5]])
+    def test_rejects_what_no_distribution_is(self, p):
+        for alpha in (1, 2, math.inf):
+            with pytest.raises(ValueError):
+                renyi_entropy(p, alpha)
+
+    def test_rejects_nan_alpha(self):
+        with pytest.raises(ValueError):
+            renyi_entropy([0.5, 0.5], math.nan)
+        with pytest.raises(ValueError):
+            conditional_renyi_arimoto(np.eye(2) / 2, math.nan)
+
+    def test_sum_tolerance(self):
+        # the 1e-10 tolerance of conditional_renyi_arimoto
+        assert renyi_entropy([0.5, 0.5 + 5e-11], 2) == pytest.approx(
+            math.log(2), abs=1e-9)
+        with pytest.raises(ValueError, match="sum to 1"):
+            renyi_entropy([0.5, 0.5 + 5e-10], 2)
+
+    def test_batch_rejects_one_bad_row(self):
+        p = np.array([[0.5, 0.5], [0.3, 0.3]])
+        with pytest.raises(ValueError, match="sum to 1"):
+            renyi_entropies(p, 2)
 
     def test_monotone_in_alpha(self, rng):
         for _ in range(50):
@@ -97,3 +124,9 @@ class TestConditionalArimoto:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             conditional_renyi_arimoto(np.eye(2), 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
+    def test_non_distribution_rejected(self, bad):
+        joint = np.array([[0.5, 0.25], [bad, 0.5]])
+        with pytest.raises(ValueError):
+            conditional_renyi_arimoto(joint, 2)

@@ -1,10 +1,13 @@
 """Typed errors for a false design strength and an uncertified root, the
-CLI's exit code 2 for both, the s <= t guard of sweep, and bound_prop1 in
-the per-alpha satisfied check."""
+CLI's exit code 2 for both, for NaN or -inf alphas and for a steering
+--alpha that is not one value, the s <= t guard of sweep, and bound_prop1
+in the per-alpha satisfied check."""
 
 import importlib
+import json
 import math
 
+import numpy as np
 import pytest
 
 from design_uncertainty import (AlphaBounds, DesignStrengthError,
@@ -106,3 +109,52 @@ class TestSatisfiedUsesProp1:
         bounds = AlphaBounds(actual=1.3, bound_prior=0.5, bound_prop1=1.2,
                              bound_prop1_nr=1.1, bound_prop2=0.9)
         assert bounds.satisfied
+
+
+def write_isotropic_state(path, v):
+    phi = np.zeros(4)
+    phi[0] = phi[3] = 1 / math.sqrt(2)
+    mat = v * np.outer(phi, phi) + (1 - v) * np.eye(4) / 4
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": [
+        [[float(x), 0.0] for x in row] for row in mat]}))
+
+
+class TestNonFiniteAlpha:
+    """NaN fails alpha >= t and -inf is not +inf: both exit 2."""
+
+    def test_audit_nan(self, capsys):
+        assert main(["audit", "--design", "octahedron", "--samples", "5",
+                     "--alphas", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "error: bound needs alpha >= t" in captured.err
+        assert "violations" not in captured.out
+
+    @pytest.mark.parametrize("alpha", ["nan", "-inf"])
+    def test_sweep(self, alpha, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--design", "octahedron", "--points", "5",
+                     f"--alphas={alpha}", "--output", str(out)]) == 2
+        assert "error: bound needs alpha >= t" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_steering_nan_on_separable_state(self, tmp_path, capsys):
+        path = tmp_path / "iso.json"
+        write_isotropic_state(path, 0.3)
+        assert main(["steering", "--state", str(path), "--design",
+                     "octahedron", "--alpha", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "error: bound needs alpha >= t" in captured.err
+        assert "witnessed" not in captured.out
+
+    @pytest.mark.parametrize("alpha", ["", "3,5"])
+    def test_steering_takes_one_alpha(self, alpha, tmp_path, capsys):
+        path = tmp_path / "iso.json"
+        write_isotropic_state(path, 0.3)
+        assert main(["steering", "--state", str(path), "--design",
+                     "octahedron", f"--alpha={alpha}"]) == 2
+        assert "error: --alpha takes one value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf])
+    def test_audit_states(self, alpha, oct_single):
+        with pytest.raises(ValueError, match="alpha >= t"):
+            audit_states(oct_single, maximally_mixed(2)[None], [alpha])

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from closed_forms import upsilon_mp, upsilon_newton
 
 from design_uncertainty import (assign_povms, builtin_design,
                                 conditional_renyi_arimoto,
@@ -9,8 +11,7 @@ from design_uncertainty import (assign_povms, builtin_design,
                                 matched_alice_povms, maximally_mixed,
                                 mub_grouping, outcome_probabilities,
                                 partial_trace, random_density, renyi_entropy,
-                                steering_check_maxprob, steering_check_renyi,
-                                upsilon)
+                                steering_check_maxprob, steering_check_renyi)
 
 DIMS = (2, 2)
 
@@ -115,7 +116,25 @@ class TestMaxProbSteering:
 
     def test_rhs_is_state_independent_cap(self, mub, alice):
         res = steering_check_maxprob(bell_state(), DIMS, alice, mub)
-        assert res.rhs == pytest.approx(upsilon(2, 3, 0.5).value, abs=1e-12)
+        assert res.rhs == pytest.approx(upsilon_newton(2, 3, 0.5).value,
+                                        abs=1e-12)
+
+    def test_rhs_against_mpmath(self, mub, alice):
+        # n = 2, d = 2, t = 3: the ceiling beta_hi = 2^{-2} 2^3 / dim_sym
+        # with dim_sym = 4; the cap is Y(2, 3, beta_hi), the Renyi rhs
+        # bound_prop2 there at alpha = inf and alpha = 3
+        rho = bell_state()
+        with mpmath.workdps(40):
+            beta_hi = mpmath.mpf(2) ** -2 * 2**3 / 4
+            cap = upsilon_mp(2, 3, beta_hi)
+            want = {"cap": cap, math.inf: -mpmath.log(cap),
+                    3.0: -mpmath.log(beta_hi) / 2}
+            got = {"cap": steering_check_maxprob(rho, DIMS, alice, mub).rhs}
+            for alpha in (math.inf, 3.0):
+                got[alpha] = steering_check_renyi(rho, DIMS, alice, mub,
+                                                  alpha).rhs
+            for key, value in want.items():
+                assert abs(mpmath.mpf(got[key]) - value) <= 1e-12 * value, key
 
     def test_separable_states_satisfy(self, mub, alice, rng):
         for _ in range(30):
