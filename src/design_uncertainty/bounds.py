@@ -29,8 +29,8 @@ import numpy as np
 from .designs import PovmAssignment, outcome_probability_batch
 from .entropy import renyi_entropies
 from .moments import beta_range, betas_from_power_sums, check_index_identity
-from .quantum import power_sums
-from .upsilon import (upsilon, upsilon_array, upsilon_nr1,
+from .quantum import density_spectra, power_sums
+from .upsilon import (_check_queries, upsilon, upsilon_array, upsilon_nr1,
                       upsilon_nr1_array)
 
 SAT_ATOL = 1e-9
@@ -162,9 +162,10 @@ def _prop2(t: int, alpha, beta_n, y):
 
 
 def bound_prior(n: int, t: int, beta_n: float, alpha) -> float:
-    """Baseline lower bound on the average alpha-entropy, alpha >= t."""
+    """Baseline lower bound on the average alpha-entropy, alpha >= t; beta_n
+    must lie in the admissible range, as for the root-based bounds."""
     _check_alpha(t, alpha)
-    return float(_prior(t, beta_n, alpha))
+    return float(_prior(t, _check_queries(n, t, beta_n), alpha))
 
 
 def bound_prop1(n: int, t: int, beta_n: float) -> float:
@@ -217,9 +218,11 @@ def state_independent_cap(n: int, d: int, t: int) -> float:
     return upsilon(n, t, beta_range(n, d, t)[1]).value
 
 
+@functools.lru_cache
 def state_independent_bound(n: int, d: int, t: int, alpha) -> float:
     """bound_prop2 evaluated at the state-independent ceiling beta_hi,
-    valid for every state."""
+    valid for every state: a constant of the design and alpha, computed
+    once per pair (a bad alpha raises on every call)."""
     _check_alpha(t, alpha)
     return float(_prop2(t, alpha, beta_range(n, d, t)[1],
                         state_independent_cap(n, d, t)))
@@ -248,13 +251,15 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     """Evaluate actual entropies and every bound for a stack of states.
 
     rhos is (N, d, d); alphas may contain floats >= s and math.inf; s
-    defaults to the design strength.  One batched eigvalsh gives the
-    moments and the purity, one contraction every outcome probability.  The
-    index-of-coincidence identity is checked against those probabilities,
-    which verifies the claimed strength on every state.  One array root
-    solve on beta_n and the per-POVM sums beta_m together gives Y(beta_n),
-    which serves bound_prop1, bound_prop2 at every alpha, the Landau-Pollak
-    cap and the saturation test, and the Jensen terms Y(beta_m).
+    defaults to the design strength.  Every state must be a density matrix
+    (ValueError otherwise); the batched eigvalsh that checks positivity
+    gives the moments and the purity, one contraction every outcome
+    probability.  The index-of-coincidence identity is checked against
+    those probabilities, which verifies the claimed strength on every
+    state.  One array root solve on beta_n and the per-POVM sums beta_m
+    together gives Y(beta_n), which serves bound_prop1, bound_prop2 at
+    every alpha, the Landau-Pollak cap and the saturation test, and the
+    Jensen terms Y(beta_m).
     """
     design = assignment.design
     t = design.strength if s is None else s
@@ -263,8 +268,9 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     for alpha in alphas:
         _check_alpha(t, alpha)
     rhos = np.asarray(rhos, dtype=complex)
+    evals = density_spectra(rhos)
     probs = outcome_probability_batch(assignment, rhos)       # (N, M, n)
-    p = power_sums(np.linalg.eigvalsh(rhos), t)
+    p = power_sums(evals, t)
     bn, bk = betas_from_power_sums(assignment, p, t)
     beta_m = np.sum(probs**t, axis=-1)                         # (N, M)
     check_index_identity(assignment, beta_m, bn, t)

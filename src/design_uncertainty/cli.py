@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 property/verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -16,8 +17,8 @@ import numpy as np
 from . import __version__
 from .bounds import audit_states, bound_curves
 from .designs import (BUILTINS, AssignmentError, DesignLoadError,
-                      assign_povms, builtin_design, load_design, mub_grouping,
-                      verify_design)
+                      DesignStrengthError, assign_povms, builtin_design,
+                      load_design, mub_grouping, verify_design)
 from .moments import beta_range, check_order
 from .quantum import maximally_mixed, random_densities
 from .steering import (matched_alice_povms, steering_check_maxprob,
@@ -83,6 +84,13 @@ def cmd_sweep(args) -> int:
     n, d = assignment.n_outcomes, design.dimension
     s = args.s if args.s is not None else design.strength
     check_order(assignment, s)
+    # every tabulated bound assumes an s-design; no state is audited here
+    report = verify_design(design, s)
+    if not report.passes:
+        k = min(k for k, r in report.residuals.items() if r > report.tol)
+        raise DesignStrengthError(
+            f"the design is not a {s}-design: frame-potential residual "
+            f"{_fmt(report.residuals[k])} at s={k} exceeds {_fmt(report.tol)}")
     lo, hi = beta_range(n, d, s)
     grid = np.linspace(lo, hi, args.points)
     # alpha = inf is bound_prop1's column; -inf and NaN fail bound_curves
@@ -158,7 +166,10 @@ def cmd_steering(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar, built once per process: parse_args fills a fresh
+    namespace on every call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="design-uncertainty",
         description="Entropic uncertainty bounds for design-assigned POVMs")

@@ -3,6 +3,7 @@ verification, POVM assignment and outcome probabilities."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ class AssignmentError(ValueError):
 
 
 class DesignStrengthError(ValueError):
-    """Raised when a state's outcome probabilities violate the index-of-
-    coincidence identity: the design is not a design of the claimed
-    strength."""
+    """Raised when a design fails the check of its claimed strength: the
+    design property itself, or the index-of-coincidence identity on a
+    state's outcome probabilities."""
 
 
 @dataclass(frozen=True)
@@ -137,16 +138,22 @@ BUILTINS = {
 }
 
 
+@functools.cache
 def builtin_design(name: str) -> QuantumDesign:
     """One of the built-in d=2 polyhedral designs: octahedron (K=6, t=3),
-    icosahedron (K=12, t=5), icosidodecahedron (K=30, t=5)."""
+    icosahedron (K=12, t=5), icosidodecahedron (K=30, t=5).
+
+    Each is built once per process and shared by every caller, so its
+    vectors are read-only: writing to them raises ValueError."""
     try:
         bloch_fn, strength = BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown design {name!r}; "
                          f"choose from {sorted(BUILTINS)}") from None
     vectors = np.array([bloch_to_state(b) for b in bloch_fn()])
-    return QuantumDesign(dimension=2, strength=strength, vectors=vectors)
+    design = QuantumDesign(dimension=2, strength=strength, vectors=vectors)
+    design.vectors.setflags(write=False)
+    return design
 
 
 def save_design(design: QuantumDesign, path) -> None:

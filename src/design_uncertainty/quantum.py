@@ -16,6 +16,9 @@ import numpy as np
 
 # Size guard for anything living on (C^d)^{otimes t}.
 MAX_TENSOR_DIM = 4096
+# sym_projector keeps at most SYM_CACHE_SIZE projectors of d^t <= SYM_CACHE_DIM
+SYM_CACHE_DIM = 256
+SYM_CACHE_SIZE = 16
 
 NORM_ATOL = 1e-12
 HERM_ATOL = 1e-12
@@ -42,20 +45,36 @@ def check_density(rho) -> np.ndarray:
     """Validate a density matrix: finite, Hermitian, unit trace, PSD within
     tolerance."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    # NaN makes every comparison below False, so it would pass them all
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("density matrix contains non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density matrix has trace {tr}, expected 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals[0] < -PSD_ATOL:
-        raise ValueError(f"density matrix has negative eigenvalue {evals[0]}")
+    density_spectra(rho)
     return rho
+
+
+def density_spectra(rhos) -> np.ndarray:
+    """Validate a density matrix, or a stack of them along the leading
+    axes, as check_density does, and return the ascending eigenvalues of
+    each: the one eigvalsh the PSD test needs serves the caller too."""
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim < 2 or rhos.shape[-2] != rhos.shape[-1]:
+        raise ValueError(f"density matrix must be square, got shape {rhos.shape}")
+    # NaN makes every comparison below False, so it would pass them all.
+    # The ndarray methods cost a few microseconds less than np.all/np.max,
+    # which the steering checks pay on every state.
+    if not np.isfinite(rhos).all():
+        raise ValueError("density matrix contains non-finite entries")
+    if np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-10:
+        raise ValueError("density matrix is not Hermitian")
+    tr = np.asarray(rhos.trace(axis1=-2, axis2=-1).real)
+    off = np.abs(tr - 1.0)
+    if off.max(initial=0.0) > 1e-10:
+        raise ValueError(f"density matrix has trace {tr.flat[off.argmax()]}, "
+                         f"expected 1")
+    evals = np.linalg.eigvalsh(rhos)
+    low = evals[..., 0].min(initial=0.0)
+    if low < -PSD_ATOL:
+        raise ValueError(f"density matrix has negative eigenvalue {low}")
+    return evals
 
 
 def bloch_to_state(b) -> np.ndarray:
@@ -96,12 +115,22 @@ def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
 
-@lru_cache(maxsize=None)
 def sym_projector(d: int, t: int) -> np.ndarray:
     """Projector onto the symmetric subspace of (C^d)^{otimes t}, built as the
-    average of all t! tensor-factor permutation operators."""
+    average of all t! tensor-factor permutation operators.
+
+    Projectors with d^t <= SYM_CACHE_DIM (1 MiB each) are cached, at most
+    SYM_CACHE_SIZE of them, and read-only, since every caller shares them;
+    larger ones are built fresh on each call and freed with their caller's
+    last reference."""
     if d < 2 or t < 1:
         raise ValueError("need d >= 2 and t >= 1")
+    if d**t <= SYM_CACHE_DIM:
+        return _cached_sym_projector(d, t)
+    return _build_sym_projector(d, t)
+
+
+def _build_sym_projector(d: int, t: int) -> np.ndarray:
     dim = d**t
     if dim > MAX_TENSOR_DIM:
         raise ValueError(f"d^t = {dim} exceeds the supported size {MAX_TENSOR_DIM}")
@@ -114,6 +143,13 @@ def sym_projector(d: int, t: int) -> np.ndarray:
         proj[permuted, np.arange(dim)] += 1.0
     proj /= math.factorial(t)
     return proj.astype(complex)
+
+
+@lru_cache(maxsize=SYM_CACHE_SIZE)
+def _cached_sym_projector(d: int, t: int) -> np.ndarray:
+    proj = _build_sym_projector(d, t)
+    proj.setflags(write=False)
+    return proj
 
 
 def tensor_power(rho, t: int) -> np.ndarray:

@@ -32,6 +32,14 @@ class TestBoundPrior:
         with pytest.raises(ValueError):
             bound_prior(6, 3, 1 / 36, 2)
 
+    @pytest.mark.parametrize("beta_n, alpha", [
+        (1e-9, 3.5),         # below the floor: 9.67 > ln 6 before the check
+        (5.0, math.inf),     # above 1: a negative bound before the check
+        (math.nan, math.inf)])
+    def test_beta_outside_admissible_range_rejected(self, beta_n, alpha):
+        with pytest.raises(ValueError, match="outside admissible"):
+            bound_prior(6, 3, beta_n, alpha)
+
 
 class TestBoundProp1:
     def test_saturation_values(self):
@@ -108,6 +116,14 @@ class TestStateIndependent:
         si = state_independent_bound(6, 2, 3, math.inf)
         prior = bound_prior(6, 3, 1 / 18, math.inf)
         assert 0.05 < si / prior - 1 < 0.09   # order 7 %
+
+    def test_one_float_per_design_and_alpha(self):
+        # cached: every steering result shares its right-hand side
+        assert state_independent_bound(6, 2, 3, 5.0) \
+            is state_independent_bound(6, 2, 3, 5.0)
+        for _ in range(2):   # a failed call is not cached
+            with pytest.raises(ValueError, match="alpha >= t"):
+                state_independent_bound(6, 2, 3, 2.0)
 
 
 class TestLandauPollak:

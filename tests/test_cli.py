@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import design_uncertainty
 from design_uncertainty import save_design
 from design_uncertainty.cli import _fmt, main
 from design_uncertainty.designs import QuantumDesign
@@ -61,6 +66,21 @@ class TestVerify:
 
 
 class TestSweep:
+    def test_false_strength_exit_2(self, octahedron, tmp_path, capsys):
+        # the octahedron is a 3-design; claiming 5 must not tabulate bounds
+        path = tmp_path / "fake5.json"
+        save_design(QuantumDesign(dimension=2, strength=5,
+                                  vectors=octahedron.vectors), path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--design", str(path), "--points", "5",
+                     "--output", str(out)]) == 2
+        assert ("error: the design is not a 5-design: frame-potential "
+                "residual 0.00833333333333 at s=4") in capsys.readouterr().err
+        assert not out.exists()
+        # tabulating at an order the design has is backed
+        assert main(["sweep", "--design", str(path), "-s", "3", "--points",
+                     "5", "--output", str(out)]) == 0
+
     def test_csv_endpoints_and_header(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--design", "octahedron", "--points", "50",
@@ -200,3 +220,54 @@ class TestSteering:
         assert main(["steering", "--state", str(state),
                      "--design", "octahedron"]) == 2
         assert "error: malformed state file" in capsys.readouterr().err
+
+
+# Calls run back to back in one process, sharing the cached parser and
+# designs, against the same calls each run in a fresh interpreter.
+REPEATED_CALLS = [
+    ["audit", "--design", "octahedron", "--samples", "40", "--seed", "7"],
+    ["audit", "--design", "octahedron", "--grouping", "mub", "--samples",
+     "40", "--seed", "7", "--alphas", "3,6,inf"],
+    ["sweep", "--design", "icosidodecahedron", "--points", "15",
+     "--alphas", "10"],
+    ["audit", "--design", "octahedron", "--samples", "40", "--seed", "7"],
+]
+
+
+def _fresh_process(argv):
+    src = Path(design_uncertainty.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "design_uncertainty.cli", *argv],
+        capture_output=True, text=True, timeout=120, check=False,
+        env=dict(os.environ, PYTHONPATH=path))
+    return proc.returncode, proc.stdout
+
+
+@pytest.fixture(scope="module")
+def fresh_outputs():
+    return {tuple(argv): _fresh_process(argv) for argv in REPEATED_CALLS}
+
+
+class TestRepeatedCalls:
+    def test_back_to_back_match_fresh_processes(self, fresh_outputs, capsys):
+        for argv in REPEATED_CALLS:
+            code = main(argv)
+            assert (code, capsys.readouterr().out) \
+                == fresh_outputs[tuple(argv)]
+
+    @pytest.mark.parametrize("bad", [
+        ["audit", "--design", "octahedron", "--samples", "x"],
+        ["sweep", "--design", "octahedron", "--points", "5", "--bogus"],
+        ["audit"],
+        ["nonesuch"]])
+    def test_parse_failure_then_valid_call(self, fresh_outputs, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        for argv in REPEATED_CALLS[1:3]:
+            code = main(argv)
+            assert (code, capsys.readouterr().out) \
+                == fresh_outputs[tuple(argv)]

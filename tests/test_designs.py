@@ -37,6 +37,14 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="unknown design"):
             builtin_design("cube")
 
+    @pytest.mark.parametrize("name", ["octahedron", "icosahedron",
+                                      "icosidodecahedron"])
+    def test_built_once_and_read_only(self, name):
+        design = builtin_design(name)
+        assert builtin_design(name) is design
+        with pytest.raises(ValueError, match="read-only"):
+            design.vectors[0, 0] = 0.0
+
 
 class TestQuantumDesign:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,7 +1,8 @@
 """Typed errors for a false design strength and an uncertified root, the
 CLI's exit code 2 for both, for NaN or -inf alphas and for a steering
---alpha that is not one value, the s <= t guard of sweep, and bound_prop1
-in the per-alpha satisfied check."""
+--alpha that is not one value, state errors for non-density states in an
+audit, the s <= t guard of sweep, and bound_prop1 in the per-alpha
+satisfied check."""
 
 import importlib
 import json
@@ -62,6 +63,22 @@ class TestDesignStrengthError:
                      "--alphas", "6,inf"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "not a 6-design" in err
+
+
+class TestAuditStatesRejectsNonDensity:
+    """A bad state is a state error, not a false design strength."""
+
+    @pytest.mark.parametrize("rho, match", [
+        (np.diag([1.2, -0.2]), "negative eigenvalue"),
+        (np.array([[0.5, 0.3], [0.1, 0.5]]), "not Hermitian"),
+        (np.full((2, 2), math.nan), "non-finite"),
+        (np.eye(2), "trace 2"),
+    ])
+    def test_value_error_names_the_state_fault(self, oct_single, rho, match):
+        stack = np.stack([maximally_mixed(2), rho])
+        with pytest.raises(ValueError, match=match) as exc:
+            audit_states(oct_single, stack, [3.0, math.inf])
+        assert not isinstance(exc.value, DesignStrengthError)
 
 
 class TestUncertifiedRootError:
