@@ -36,65 +36,22 @@ from .upsilon import (_check_queries, upsilon, upsilon_array, upsilon_nr1,
 SAT_ATOL = 1e-9
 
 
-def _alpha_ok(actual, prior, prop1, prop2):
-    """Whether the actual entropy clears every bound valid at its alpha,
-    element-wise.  bound_prop1 is valid at every alpha, because
-    H_alpha >= H_inf >= -ln Y."""
-    return actual >= np.maximum(np.maximum(prior, prop2), prop1) - 1e-10
+@dataclass(frozen=True, eq=False)
+class AuditBatch:
+    """The audit of N states at A alphas: one-state quantities as arrays,
+    indexed by state first and alpha last.  audit_state returns the batch
+    of one state.  Arrays do not compare as a whole, so neither does a
+    batch."""
 
-
-@dataclass(frozen=True)
-class AlphaBounds:
-    actual: float
-    bound_prior: float
-    bound_prop1: float
-    bound_prop1_nr: float
-    bound_prop2: float
-
-    @property
-    def satisfied(self) -> bool:
-        return bool(_alpha_ok(self.actual, self.bound_prior,
-                              self.bound_prop1, self.bound_prop2))
-
-
-@dataclass(frozen=True)
-class BoundReport:
     dimension: int
     design_size: int
     n_outcomes: int
     n_povms: int
     order: int                    # s used for the index of coincidence
-    beta_n: float
-    beta: float
-    beta_m: tuple[float, ...]     # per-POVM index sums
-    purity: float
-    per_alpha: dict[float, AlphaBounds]
-    max_prob_actual: float
-    max_prob_cap: float
-    jensen_ok: bool               # (1/M) sum Y(beta_m) <= Y(beta_n)
-    saturated: bool               # min-entropy bound attained (rho = rho*)
-
-    @property
-    def all_satisfied(self) -> bool:
-        return (all(b.satisfied for b in self.per_alpha.values())
-                and self.max_prob_actual <= self.max_prob_cap + 1e-10)
-
-
-@dataclass(frozen=True, eq=False)
-class AuditBatch:
-    """audit_states for N states and A alphas: the fields of BoundReport as
-    arrays, indexed by state first and alpha last.  Arrays do not compare
-    as a whole, so neither does a batch."""
-
-    dimension: int
-    design_size: int
-    n_outcomes: int
-    n_povms: int
-    order: int
     alphas: tuple
     beta_n: np.ndarray            # (N,)
     beta: np.ndarray              # (N,)
-    beta_m: np.ndarray            # (N, M)
+    beta_m: np.ndarray            # (N, M) per-POVM index sums
     purity: np.ndarray            # (N,)
     actual: np.ndarray            # (N, A) average alpha-entropies
     bound_prior: np.ndarray       # (N, A)
@@ -103,42 +60,23 @@ class AuditBatch:
     bound_prop2: np.ndarray       # (N, A)
     max_prob_actual: np.ndarray   # (N,)
     max_prob_cap: np.ndarray      # (N,)
-    jensen_ok: np.ndarray         # (N,) bool
-    saturated: np.ndarray         # (N,) bool
+    jensen_ok: np.ndarray         # (N,) (1/M) sum Y(beta_m) <= Y(beta_n)
+    saturated: np.ndarray         # (N,) min-entropy bound attained
 
     @property
     def satisfied(self) -> np.ndarray:
-        """(N, A) AlphaBounds.satisfied of every state and alpha."""
-        return _alpha_ok(self.actual, self.bound_prior,
-                         self.bound_prop1[:, None], self.bound_prop2)
+        """(N, A) whether each actual entropy clears every bound valid at
+        its alpha.  bound_prop1 is valid at every alpha, because
+        H_alpha >= H_inf >= -ln Y."""
+        return self.actual >= np.maximum(
+            np.maximum(self.bound_prior, self.bound_prop2),
+            self.bound_prop1[:, None]) - 1e-10
 
     @property
     def all_satisfied(self) -> np.ndarray:
-        """(N,) BoundReport.all_satisfied of every state."""
+        """(N,) whether each state satisfies every alpha and its cap."""
         return (np.all(self.satisfied, axis=1)
                 & (self.max_prob_actual <= self.max_prob_cap + 1e-10))
-
-    def report(self, i: int) -> BoundReport:
-        """The BoundReport of state i."""
-        per_alpha = {
-            alpha: AlphaBounds(
-                actual=float(self.actual[i, a]),
-                bound_prior=float(self.bound_prior[i, a]),
-                bound_prop1=float(self.bound_prop1[i]),
-                bound_prop1_nr=float(self.bound_prop1_nr[i]),
-                bound_prop2=float(self.bound_prop2[i, a]))
-            for a, alpha in enumerate(self.alphas)}
-        return BoundReport(
-            dimension=self.dimension, design_size=self.design_size,
-            n_outcomes=self.n_outcomes, n_povms=self.n_povms,
-            order=self.order, beta_n=float(self.beta_n[i]),
-            beta=float(self.beta[i]),
-            beta_m=tuple(float(b) for b in self.beta_m[i]),
-            purity=float(self.purity[i]), per_alpha=per_alpha,
-            max_prob_actual=float(self.max_prob_actual[i]),
-            max_prob_cap=float(self.max_prob_cap[i]),
-            jensen_ok=bool(self.jensen_ok[i]),
-            saturated=bool(self.saturated[i]))
 
 
 def _check_alpha(t: int, alpha) -> None:
@@ -233,17 +171,8 @@ def landau_pollak_cap(assignment: PovmAssignment, rho, s: int
     """(actual average max-probability, upper cap Y(n, s, beta_n)): the
     view of audit_state with no alphas, so the claimed strength is checked
     on rho as in every audit."""
-    report = audit_state(assignment, rho, (), s)
-    return report.max_prob_actual, report.max_prob_cap
-
-
-def mub_min_bound(purity: float) -> float:
-    """Average min-entropy bound for the three qubit MUBs in terms of the
-    purity tr(rho^2): ln(2 sqrt(3) / (sqrt(3) + sqrt(2 purity - 1)))."""
-    if not 0.5 - 1e-12 <= purity <= 1.0 + 1e-12:
-        raise ValueError(f"purity must lie in [1/2, 1], got {purity}")
-    root = math.sqrt(max(2.0 * purity - 1.0, 0.0))
-    return math.log(2.0 * math.sqrt(3.0) / (math.sqrt(3.0) + root))
+    batch = audit_state(assignment, rho, (), s)
+    return float(batch.max_prob_actual[0]), float(batch.max_prob_cap[0])
 
 
 def audit_states(assignment: PovmAssignment, rhos, alphas,
@@ -301,8 +230,8 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
 
 
 def audit_state(assignment: PovmAssignment, rho, alphas, s: int | None = None
-                ) -> BoundReport:
-    """Evaluate actual entropies and every bound for one state: the view of
-    audit_states on a stack of one."""
-    rho = np.asarray(rho, dtype=complex)
-    return audit_states(assignment, rho[None], alphas, s).report(0)
+                ) -> AuditBatch:
+    """Evaluate actual entropies and every bound for one state: the
+    audit_states batch of that one state."""
+    return audit_states(assignment, np.asarray(rho, dtype=complex)[None],
+                        alphas, s)

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .bounds import audit_states, bound_curves
 from .designs import (BUILTINS, AssignmentError, DesignLoadError,
-                      DesignStrengthError, assign_povms, builtin_design,
+                      assign_povms, builtin_design, check_strength,
                       load_design, mub_grouping, verify_design)
 from .moments import beta_range, check_order
 from .quantum import maximally_mixed, random_densities
@@ -85,12 +85,7 @@ def cmd_sweep(args) -> int:
     s = args.s if args.s is not None else design.strength
     check_order(assignment, s)
     # every tabulated bound assumes an s-design; no state is audited here
-    report = verify_design(design, s)
-    if not report.passes:
-        k = min(k for k, r in report.residuals.items() if r > report.tol)
-        raise DesignStrengthError(
-            f"the design is not a {s}-design: frame-potential residual "
-            f"{_fmt(report.residuals[k])} at s={k} exceeds {_fmt(report.tol)}")
+    check_strength(design, s)
     lo, hi = beta_range(n, d, s)
     grid = np.linspace(lo, hi, args.points)
     # alpha = inf is bound_prop1's column; -inf and NaN fail bound_curves

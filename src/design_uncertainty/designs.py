@@ -13,6 +13,8 @@ import numpy as np
 from .quantum import bloch_to_state, sym_dim_inv, sym_projector, tensor_power
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+# verify_design's default tolerance, which check_strength applies
+FRAME_TOL = 1e-10
 
 
 class DesignLoadError(ValueError):
@@ -55,6 +57,12 @@ class QuantumDesign:
     @property
     def size(self) -> int:
         return self.vectors.shape[0]
+
+    @functools.cached_property
+    def frame_residuals(self) -> tuple[float, ...]:
+        """The frame-potential residuals of verify_design at s = 1..strength,
+        computed once per design object."""
+        return tuple(_frame_residuals(self, self.strength).values())
 
 
 @dataclass(frozen=True)
@@ -195,20 +203,30 @@ def frame_potential(design: QuantumDesign, s: int) -> float:
     return float(np.mean(overlaps**s))
 
 
-def verify_design(design: QuantumDesign, t: int, tol: float = 1e-10,
+def _frame_residuals(design: QuantumDesign, t: int) -> dict[int, float]:
+    d = design.dimension
+    return {s: abs(frame_potential(design, s) - sym_dim_inv(d, s))
+            for s in range(1, t + 1)}
+
+
+def verify_design(design: QuantumDesign, t: int, tol: float = FRAME_TOL,
                   method: str = "frame") -> VerificationReport:
     """Check the design property at strength t.
 
     "frame" compares frame potentials against sym_dim_inv for s = 1..t;
     "operator" compares (1/K) sum |phi><phi|^{otimes s} against
-    sym_dim_inv(d, s) * P_sym^(s) in max-abs norm.
+    sym_dim_inv(d, s) * P_sym^(s) in max-abs norm.  ValueError for t < 1
+    and for a tol that is not finite and >= 0.
     """
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     d = design.dimension
-    residuals: dict[int, float] = {}
     if method == "frame":
-        for s in range(1, t + 1):
-            residuals[s] = abs(frame_potential(design, s) - sym_dim_inv(d, s))
+        residuals = _frame_residuals(design, t)
     elif method == "operator":
+        residuals = {}
         for s in range(1, t + 1):
             avg = np.zeros((d**s, d**s), dtype=complex)
             for v in design.vectors:
@@ -222,6 +240,17 @@ def verify_design(design: QuantumDesign, t: int, tol: float = 1e-10,
     passes = all(r <= tol for r in residuals.values())
     return VerificationReport(passes=passes, strength=t, tol=tol,
                               method=method, residuals=residuals)
+
+
+def check_strength(design: QuantumDesign, s: int) -> None:
+    """Raise DesignStrengthError unless the design passes verify_design's
+    frame test at every order up to s, 1 <= s <= its claimed strength, at
+    tolerance FRAME_TOL; reads the design's cached frame_residuals."""
+    for k, r in enumerate(design.frame_residuals[:s], start=1):
+        if not r <= FRAME_TOL:
+            raise DesignStrengthError(
+                f"the design is not a {s}-design: frame-potential residual "
+                f"{r:.12g} at s={k} exceeds {FRAME_TOL:.12g}")
 
 
 def assign_povms(design: QuantumDesign, grouping="single") -> PovmAssignment:

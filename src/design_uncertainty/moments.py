@@ -4,7 +4,6 @@ coincidence identity, and the rescaled beta parameters driving every bound.
 The general-s moment is the complete homogeneous symmetric polynomial h_s of
 the eigenvalues, obtained through the Newton power-sum recursion
     s h_s = sum_{q=1}^{s} tr(rho^q) h_{s-q},   h_0 = 1.
-The direct tensor-projector contraction is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from .designs import (DesignStrengthError, PovmAssignment,
                       all_outcome_probabilities)
-from .quantum import power_moments, sym_dim_inv, sym_projector, tensor_power
+from .quantum import power_moments, sym_dim_inv
 
 
 def sym_moment(rho, s: int) -> float:
@@ -30,15 +29,6 @@ def complete_homogeneous(p, s: int):
     for k in range(1, s + 1):
         h.append(sum(p[..., q - 1] * h[k - q] for q in range(1, k + 1)) / k)
     return h[s]
-
-
-def sym_moment_direct(rho, s: int) -> float:
-    """Oracle path: explicit contraction tr(rho^{otimes s} P_sym^(s))."""
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    big = tensor_power(rho, s)
-    proj = sym_projector(d, s)
-    return float(np.real(np.sum(big * proj.T)))
 
 
 def beta_range(n: int, d: int, s: int) -> tuple[float, float]:

@@ -21,8 +21,6 @@ SYM_CACHE_DIM = 256
 SYM_CACHE_SIZE = 16
 
 NORM_ATOL = 1e-12
-HERM_ATOL = 1e-12
-TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
 
 
@@ -30,15 +28,6 @@ def sym_dim_inv(d: int, t: int) -> float:
     """Inverse dimension of the symmetric subspace of t copies of C^d,
     i.e. 1 / binom(d + t - 1, t)."""
     return 1.0 / math.comb(d + t - 1, t)
-
-
-def check_state(psi) -> np.ndarray:
-    """Validate and return a unit state vector as a 1d complex array."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state vector has norm {nrm}, expected 1")
-    return psi
 
 
 def check_density(rho) -> np.ndarray:
@@ -104,11 +93,6 @@ def fix_global_phase(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     out = psi.copy()
     out[np.abs(out) <= tol] = 0.0
     return out
-
-
-def density_from_state(psi) -> np.ndarray:
-    psi = check_state(psi)
-    return np.outer(psi, psi.conj())
 
 
 def maximally_mixed(d: int) -> np.ndarray:
@@ -201,27 +185,10 @@ def power_sums(evals, qmax: int) -> np.ndarray:
                     axis=-1)
 
 
-def random_density(d: int, rng, ensemble: str = "hilbert-schmidt",
-                   lam: float | None = None) -> np.ndarray:
-    """Seeded random density matrix.
-
-    ensemble:
-      "pure"            Haar-random pure state projector
-      "hilbert-schmidt" normalized G G^dagger with complex standard-normal G
-      "diagonal"        diag(1 - lam, lam) in d = 2, 0 <= lam <= 1/2
-    """
-    if ensemble == "diagonal":
-        if d != 2:
-            raise ValueError("diagonal ensemble is defined for d = 2")
-        if lam is None or not (0.0 <= lam <= 0.5):
-            raise ValueError(f"diagonal ensemble needs 0 <= lam <= 1/2, got {lam}")
-        return np.diag([1.0 - lam, lam]).astype(complex)
-    if ensemble == "pure":
-        g = random_pure_state(d, rng)
-        return np.outer(g, g.conj())
-    if ensemble == "hilbert-schmidt":
-        return random_densities(d, 1, rng)[0]
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+def random_density(d: int, rng) -> np.ndarray:
+    """Seeded Hilbert-Schmidt random density matrix: the view of
+    random_densities on one state."""
+    return random_densities(d, 1, rng)[0]
 
 
 def random_densities(d: int, count: int, rng) -> np.ndarray:
@@ -237,8 +204,3 @@ def random_densities(d: int, count: int, rng) -> np.ndarray:
     m = g @ g.conj().swapaxes(-1, -2)
     return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
-
-def random_pure_state(d: int, rng) -> np.ndarray:
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return g / np.linalg.norm(g)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import state_independent_bound, state_independent_cap
-from .designs import PovmAssignment, outcome_probabilities
+from .designs import PovmAssignment, check_strength, outcome_probabilities
 from .entropy import conditional_renyi_arimoto
 from .quantum import PSD_ATOL, check_density, partial_trace
 
@@ -86,7 +86,8 @@ def conditioned_ensemble(rho_ab, dims, alice_povm) -> ConditionalEnsemble:
 def _check_inputs(rho_ab, dims, alice_povms,
                   bob_assignment: PovmAssignment) -> np.ndarray:
     """The validated rho_AB of a steering check, whose dims must match it
-    and Bob's design, with one Alice POVM per Bob POVM."""
+    and Bob's design, with one Alice POVM per Bob POVM; Bob's design must
+    pass check_strength at its claimed strength."""
     if len(alice_povms) != bob_assignment.n_povms:
         raise ValueError(f"Alice has {len(alice_povms)} POVMs, Bob has "
                          f"{bob_assignment.n_povms}")
@@ -95,9 +96,12 @@ def _check_inputs(rho_ab, dims, alice_povms,
     if rho_ab.shape != (da * db, da * db):
         raise ValueError(f"state shape {rho_ab.shape} does not match dims "
                          f"{(da, db)}")
-    if db != bob_assignment.design.dimension:
+    design = bob_assignment.design
+    if db != design.dimension:
         raise ValueError(f"Bob dimension {db} does not match design "
-                         f"dimension {bob_assignment.design.dimension}")
+                         f"dimension {design.dimension}")
+    # both right-hand sides assume the claimed strength
+    check_strength(design, design.strength)
     return rho_ab
 
 

@@ -143,8 +143,3 @@ def upsilon_nr1_array(n: int, t: int, betas) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(ceiling, 1.0, r - (1.0 - r) ** t / denom)
 
-
-def chi(k: int, t: int, beta: float) -> float:
-    """Relative size of the one-step correction: the single-POVM improvement
-    over the baseline min-entropy bound equals -ln(1 - chi) >= chi."""
-    return 1.0 - upsilon_nr1(k, t, beta) / beta ** (1.0 / t)

@@ -1,15 +1,22 @@
-"""Oracles for the maximal root Y(n, t, beta): the closed forms for t = 2
-and t = 3, a high-precision mpmath root for every t, and a scalar float
-Newton iteration kept as the per-query reference for the array solver."""
+"""Oracles for the tests.
+
+For the maximal root Y(n, t, beta): the closed forms for t = 2 and t = 3, a
+high-precision mpmath root for every t, and a scalar float Newton iteration
+kept as the per-query reference for the array solver.  For the bounds and
+moments: the closed-form min-entropy bound of the three qubit MUBs and the
+explicit tensor-projector contraction of the symmetric moment.  Also the
+pure test states the package does not build.
+"""
 
 import cmath
 import math
 
 import mpmath
+import numpy as np
 
-from design_uncertainty import (UncertifiedRootError, UpsilonResult,
-                                admissible_range)
-from design_uncertainty.upsilon import MAX_ITER
+from design_uncertainty import UncertifiedRootError, UpsilonResult
+from design_uncertainty.quantum import sym_projector, tensor_power
+from design_uncertainty.upsilon import MAX_ITER, admissible_range
 
 
 def _clamped(n, t, beta):
@@ -124,3 +131,36 @@ def upsilon_newton(n: int, t: int, beta: float) -> UpsilonResult:
         raise UncertifiedRootError(f"Newton failed to converge: n={n}, "
                                    f"t={t}, beta={beta}, residual={res}")
     return UpsilonResult(y, res, it)
+
+
+def mub_min_bound(purity: float) -> float:
+    """Average min-entropy bound for the three qubit MUBs in terms of the
+    purity tr(rho^2): ln(2 sqrt(3) / (sqrt(3) + sqrt(2 purity - 1)))."""
+    if not 0.5 - 1e-12 <= purity <= 1.0 + 1e-12:
+        raise ValueError(f"purity must lie in [1/2, 1], got {purity}")
+    root = math.sqrt(max(2.0 * purity - 1.0, 0.0))
+    return math.log(2.0 * math.sqrt(3.0) / (math.sqrt(3.0) + root))
+
+
+def sym_moment_direct(rho, s: int) -> float:
+    """Explicit contraction tr(rho^{otimes s} P_sym^(s)), s >= 1 and
+    d^s within the package's tensor size guard."""
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    rho = np.asarray(rho, dtype=complex)
+    big = tensor_power(rho, s)
+    proj = sym_projector(rho.shape[0], s)
+    return float(np.real(np.sum(big * proj.T)))
+
+
+def pure_density(psi) -> np.ndarray:
+    """|psi><psi| of a unit vector psi."""
+    psi = np.asarray(psi, dtype=complex).ravel()
+    return np.outer(psi, psi.conj())
+
+
+def random_pure_state(d: int, rng) -> np.ndarray:
+    """Haar-random unit vector in C^d, drawing the d real parts before the
+    d imaginary parts."""
+    g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return g / np.linalg.norm(g)

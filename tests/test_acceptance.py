@@ -9,19 +9,21 @@ import time
 
 import numpy as np
 import pytest
-from closed_forms import upsilon_closed_t2, upsilon_closed_t3
+from closed_forms import (mub_min_bound, sym_moment_direct,
+                          upsilon_closed_t2, upsilon_closed_t3)
 
-from design_uncertainty import (admissible_range, assign_povms, audit_state,
-                                beta_parameters, beta_range, bound_curves,
-                                bound_prior, bound_prop1, bound_prop2,
-                                builtin_design, density_from_state,
-                                maximally_mixed, min_entropy, mub_grouping,
-                                mub_min_bound, outcome_probabilities,
-                                power_moments, random_density, random_pure_state,
-                                steering_check_maxprob, steering_check_renyi,
-                                matched_alice_povms, sym_dim_inv, sym_moment,
-                                sym_moment_direct, upsilon, upsilon_array,
+from design_uncertainty import (assign_povms, audit_states, bound_curves,
+                                bound_prior, bound_prop1, builtin_design,
+                                matched_alice_povms, mub_grouping,
+                                random_densities, random_density,
+                                renyi_entropies, steering_check_maxprob,
+                                steering_check_renyi, upsilon, upsilon_array,
                                 verify_design)
+from design_uncertainty.designs import outcome_probabilities
+from design_uncertainty.moments import beta_parameters, beta_range, sym_moment
+from design_uncertainty.quantum import (maximally_mixed, power_moments,
+                                        sym_dim_inv)
+from design_uncertainty.upsilon import admissible_range
 
 BUILTINS = [("octahedron", 3), ("icosahedron", 5), ("icosidodecahedron", 5)]
 
@@ -49,7 +51,7 @@ def test_02_moment_oracle_equivalence():
     rng = np.random.default_rng(2)
     for d in (2, 3):
         for _ in range(100):
-            rho = random_density(d, rng, ensemble="hilbert-schmidt")
+            rho = random_density(d, rng)
             for s in range(2, 6):
                 assert abs(sym_moment(rho, s)
                            - sym_moment_direct(rho, s)) < 1e-10
@@ -72,7 +74,7 @@ def test_03_index_identity():
         k = assignment.n_outcomes
         d = assignment.design.dimension
         for _ in range(100):
-            rho = random_density(d, rng, ensemble="hilbert-schmidt")
+            rho = random_density(d, rng)
             probs = outcome_probabilities(assignment, 0, rho)
             for s in range(2, t + 1):
                 lhs = float(np.sum(probs ** s))
@@ -91,7 +93,8 @@ def test_04_saturation_at_maximally_mixed():
         _, beta = beta_parameters(assignment, rho, t)
         assert bound_prop1(k, t, beta) == pytest.approx(math.log(k), abs=1e-9)
         probs = outcome_probabilities(assignment, 0, rho)
-        assert min_entropy(probs) == pytest.approx(math.log(k), abs=1e-9)
+        assert renyi_entropies(probs, math.inf) == pytest.approx(
+            math.log(k), abs=1e-9)
     report(4, "min-entropy saturation ln K at the maximally mixed state", t0)
 
 
@@ -168,11 +171,10 @@ def test_09_shape_properties_and_jensen():
         assert np.all(np.diff(ys, 2) <= 1e-9)
     mub = assign_povms(builtin_design("octahedron"), mub_grouping())
     rng = np.random.default_rng(9)
-    for _ in range(100):
-        rep = audit_state(mub, random_density(2, rng), [math.inf])
-        avg = np.mean(upsilon_array(2, 3, rep.beta_m).value)
-        assert avg <= upsilon(2, 3, rep.beta_n).value + 1e-12
-        assert rep.jensen_ok
+    batch = audit_states(mub, random_densities(2, 100, rng), [math.inf])
+    avg = np.mean(upsilon_array(2, 3, batch.beta_m).value, axis=-1)
+    assert np.all(avg <= upsilon_array(2, 3, batch.beta_n).value + 1e-12)
+    assert batch.jensen_ok.all()
     report(9, "monotone/concave root curve and Jensen averaging step", t0)
 
 
@@ -190,11 +192,10 @@ def test_10_bound_validity_sweep():
                                  curves.bound_prop1):
             assert p1 >= nr - 1e-12 >= prior - 2e-12
         alphas = [t, 2 * t, math.inf]
-        for _ in range(1000):
-            rho = random_density(d, rng, ensemble="hilbert-schmidt")
-            rep = audit_state(assignment, rho, alphas)
-            assert rep.all_satisfied
-            assert rep.max_prob_actual <= rep.max_prob_cap + 1e-10
+        batch = audit_states(assignment, random_densities(d, 1000, rng),
+                             alphas)
+        assert batch.all_satisfied.all()
+        assert np.all(batch.max_prob_actual <= batch.max_prob_cap + 1e-10)
     assert time.perf_counter() - t0 < 60.0
     report(10, "zero bound violations over 3000 random-state audits", t0)
 

@@ -6,23 +6,23 @@ import math
 
 import numpy as np
 import pytest
-from closed_forms import upsilon_newton
+from closed_forms import pure_density, random_pure_state, upsilon_newton
 
-from design_uncertainty import (AlphaBounds, admissible_range,
-                                all_outcome_probabilities, assign_povms,
-                                audit_state, audit_states, beta_parameters,
-                                beta_range, bound_curves, bound_prior,
-                                bound_prop1, bound_prop1_nr, bound_prop2,
-                                builtin_design, density_from_state,
-                                maximally_mixed, mub_grouping,
-                                outcome_probabilities,
-                                outcome_probability_batch, random_density,
-                                renyi_entropies, renyi_entropy, upsilon,
-                                upsilon_array, upsilon_nr1,
-                                upsilon_nr1_array)
+from design_uncertainty import (assign_povms, audit_state, audit_states,
+                                bound_curves, bound_prior, bound_prop1,
+                                bound_prop1_nr, bound_prop2, builtin_design,
+                                mub_grouping, random_density, renyi_entropies,
+                                upsilon, upsilon_array)
 from design_uncertainty.bounds import SAT_ATOL
 from design_uncertainty.cli import main
-from design_uncertainty.upsilon import MAX_ITER
+from design_uncertainty.designs import (all_outcome_probabilities,
+                                        outcome_probabilities,
+                                        outcome_probability_batch)
+from design_uncertainty.entropy import renyi_entropy
+from design_uncertainty.moments import beta_parameters, beta_range
+from design_uncertainty.quantum import maximally_mixed
+from design_uncertainty.upsilon import (MAX_ITER, admissible_range,
+                                        upsilon_nr1, upsilon_nr1_array)
 
 GRID_CASES = [(2, 3), (6, 3), (12, 5), (30, 5)]
 ITER_LIMIT = 50
@@ -146,7 +146,8 @@ class TestBoundCurves:
 
 def reference_audit(assignment, rho, alphas, s=None):
     """Oracle: the per-state audit, one scalar query per quantity, with
-    the roots from the scalar reference solver."""
+    the roots from the scalar reference solver; the per-alpha entries are
+    lists in the order of alphas."""
     t = assignment.design.strength if s is None else s
     n = assignment.n_outcomes
     bn, bk = beta_parameters(assignment, rho, t)
@@ -154,24 +155,26 @@ def reference_audit(assignment, rho, alphas, s=None):
     y = upsilon_newton(n, t, bn).value
     y_m = [upsilon_newton(n, t, float(np.sum(row**t))).value
            for row in probs]
-    per_alpha = {}
-    for alpha in alphas:
-        prop2 = -math.log(y) if math.isinf(alpha) else \
-            -((alpha - t) * math.log(y) + math.log(bn)) / (alpha - 1)
-        per_alpha[alpha] = AlphaBounds(
-            actual=float(np.mean([renyi_entropy(row, alpha)
-                                  for row in probs])),
-            bound_prior=bound_prior(n, t, bn, alpha),
-            bound_prop1=-math.log(y),
-            bound_prop1_nr=bound_prop1_nr(n, t, bn),
-            bound_prop2=prop2)
+    actual = [float(np.mean([renyi_entropy(row, alpha) for row in probs]))
+              for alpha in alphas]
+    prior = [bound_prior(n, t, bn, alpha) for alpha in alphas]
+    prop2 = [-math.log(y) if math.isinf(alpha) else
+             -((alpha - t) * math.log(y) + math.log(bn)) / (alpha - 1)
+             for alpha in alphas]
+    # bound_prop1 = -ln y is valid at every alpha
+    satisfied = [a >= max(b, -math.log(y), c) - 1e-10
+                 for a, b, c in zip(actual, prior, prop2)]
+    max_prob = float(np.mean(probs.max(axis=1)))
     min_ent = np.mean([renyi_entropy(row, math.inf) for row in probs])
     return {
         "beta_n": bn, "beta": bk,
         "beta_m": [float(np.sum(row**t)) for row in probs],
         "purity": float(np.real(np.trace(rho @ rho))),
-        "per_alpha": per_alpha,
-        "max_prob_actual": float(np.mean(probs.max(axis=1))),
+        "actual": actual, "bound_prior": prior, "bound_prop1": -math.log(y),
+        "bound_prop1_nr": bound_prop1_nr(n, t, bn), "bound_prop2": prop2,
+        "satisfied": satisfied,
+        "all_satisfied": all(satisfied) and max_prob <= y + 1e-10,
+        "max_prob_actual": max_prob,
         "max_prob_cap": y,
         "jensen_ok": float(np.mean(y_m)) <= y + 1e-10,
         "saturated": abs(min_ent + math.log(y)) < SAT_ATOL,
@@ -179,9 +182,9 @@ def reference_audit(assignment, rho, alphas, s=None):
 
 
 def batch_states(d, rng, count=60):
-    states = [maximally_mixed(d), density_from_state(np.eye(d)[0])]
+    states = [maximally_mixed(d), pure_density(np.eye(d)[0])]
     states += [random_density(d, rng) for _ in range(count)]
-    states += [random_density(d, rng, ensemble="pure") for _ in range(5)]
+    states += [pure_density(random_pure_state(d, rng)) for _ in range(5)]
     return np.stack(states)
 
 
@@ -201,22 +204,14 @@ class TestAuditStates:
         assert batch.actual.shape == (len(rhos), len(alphas))
         for i, rho in enumerate(rhos):
             ref = reference_audit(assignment, rho, alphas, s)
-            got = batch.report(i)
-            for key in ("beta_n", "beta", "purity", "max_prob_actual",
-                        "max_prob_cap"):
-                assert getattr(got, key) == pytest.approx(ref[key],
-                                                          abs=1e-12), key
-            assert got.beta_m == pytest.approx(ref["beta_m"], abs=1e-12)
-            assert got.jensen_ok == ref["jensen_ok"]
-            assert got.saturated == ref["saturated"]
-            assert list(got.per_alpha) == list(ref["per_alpha"])
-            for alpha, want in ref["per_alpha"].items():
-                have = got.per_alpha[alpha]
-                for field in dataclasses.fields(AlphaBounds):
-                    assert getattr(have, field.name) == pytest.approx(
-                        getattr(want, field.name), abs=1e-12), field.name
-                assert have.satisfied == want.satisfied
-            assert bool(batch.all_satisfied[i]) == got.all_satisfied
+            for key in ("beta_n", "beta", "beta_m", "purity", "actual",
+                        "bound_prior", "bound_prop1", "bound_prop1_nr",
+                        "bound_prop2", "max_prob_actual", "max_prob_cap"):
+                assert getattr(batch, key)[i] == pytest.approx(
+                    ref[key], abs=1e-12), key
+            for key in ("satisfied", "all_satisfied", "jensen_ok",
+                        "saturated"):
+                assert getattr(batch, key)[i].tolist() == ref[key], key
         assert batch.saturated[0] and batch.all_satisfied.all()
 
     @pytest.mark.parametrize("name, grouping, alphas, s", AUDIT_CASES)
@@ -242,10 +237,15 @@ class TestAuditStates:
         batch = audit_states(oct_mub, rhos, [3, math.inf])
         for i, rho in enumerate(rhos):
             one = audit_state(oct_mub, rho, [3, math.inf])
-            full = batch.report(i)
-            assert one.beta_n == full.beta_n
-            assert one.max_prob_cap == pytest.approx(full.max_prob_cap,
-                                                     rel=1e-15)
+            assert isinstance(one, type(batch)) and one.alphas == batch.alphas
+            for field in dataclasses.fields(batch):
+                have, full = getattr(one, field.name), getattr(batch, field.name)
+                if not isinstance(full, np.ndarray):
+                    assert have == full, field.name
+                    continue
+                assert have.shape == (1,) + full.shape[1:], field.name
+                assert have[0] == pytest.approx(full[i], rel=1e-15), field.name
+            assert one.beta_n[0] == batch.beta_n[i]
 
     def test_prop1_checked_in_violation_count(self, oct_single, rng):
         batch = audit_states(oct_single, batch_states(2, rng, count=3),
@@ -261,6 +261,20 @@ class TestAuditStates:
         batch = audit_states(oct_single, rhos, [])
         assert batch.actual.shape == (len(rhos), 0)
         assert batch.all_satisfied.all()
+
+    @pytest.mark.parametrize("alphas", [[], [3, 6, math.inf]])
+    def test_empty_stack(self, oct_mub, alphas):
+        batch = audit_states(oct_mub, np.zeros((0, 2, 2)), alphas)
+        a = len(alphas)
+        for field in dataclasses.fields(batch):
+            value = getattr(batch, field.name)
+            if isinstance(value, np.ndarray):
+                assert value.shape[0] == 0, field.name
+        assert batch.beta_n.shape == batch.bound_prop1.shape == (0,)
+        assert batch.actual.shape == batch.bound_prop2.shape == (0, a)
+        assert batch.satisfied.shape == (0, a)
+        assert batch.beta_m.shape == (0, oct_mub.n_povms)
+        assert batch.all_satisfied.shape == batch.saturated.shape == (0,)
 
     def test_rejects_bad_shapes_and_alphas(self, oct_single):
         with pytest.raises(ValueError):

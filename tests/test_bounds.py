@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from closed_forms import upsilon_newton
+from closed_forms import mub_min_bound, pure_density, upsilon_newton
 
-from design_uncertainty import (assign_povms, audit_state, beta_parameters,
-                                beta_range, bound_prior, bound_prop1,
-                                bound_prop1_nr, bound_prop2, builtin_design,
-                                chi, density_from_state, landau_pollak_cap,
-                                maximally_mixed, mub_min_bound, mub_grouping,
+from design_uncertainty import (assign_povms, audit_state, bound_prior,
+                                bound_prop1, bound_prop1_nr, bound_prop2,
+                                builtin_design, landau_pollak_cap,
                                 random_density, state_independent_bound)
+from design_uncertainty.moments import beta_range
+from design_uncertainty.quantum import maximally_mixed
+from design_uncertainty.upsilon import upsilon_nr1
 
 
 class TestBoundPrior:
@@ -64,7 +65,7 @@ class TestBoundProp1:
     def test_one_step_gap_is_chi_identity(self):
         beta = 1 / 18
         gap = bound_prop1_nr(6, 3, beta) - bound_prior(6, 3, beta, math.inf)
-        c = chi(6, 3, beta)
+        c = 1 - upsilon_nr1(6, 3, beta) / beta ** (1 / 3)
         assert gap == pytest.approx(-math.log(1 - c), abs=1e-12)
         assert gap >= c
 
@@ -135,14 +136,14 @@ class TestLandauPollak:
 
     def test_pure_state_octahedron(self, oct_single):
         actual, cap = landau_pollak_cap(oct_single,
-                                        density_from_state([1, 0]), 3)
+                                        pure_density([1, 0]), 3)
         assert actual == pytest.approx(1 / 3, abs=1e-12)
         assert cap == pytest.approx(upsilon_newton(6, 3, 1 / 18).value,
                                     abs=1e-12)
         assert actual <= cap
 
     def test_mub_pure_z(self, oct_mub):
-        actual, cap = landau_pollak_cap(oct_mub, density_from_state([1, 0]), 3)
+        actual, cap = landau_pollak_cap(oct_mub, pure_density([1, 0]), 3)
         assert actual == pytest.approx(2 / 3, abs=1e-12)
         assert cap == pytest.approx(upsilon_newton(2, 3, 0.5).value,
                                     abs=1e-12)
@@ -176,36 +177,34 @@ class TestMubMinBound:
 class TestAuditState:
     def test_maximally_mixed_saturates(self, oct_single):
         report = audit_state(oct_single, maximally_mixed(2), [3, math.inf])
-        assert report.saturated and report.all_satisfied
-        assert report.per_alpha[math.inf].actual == pytest.approx(math.log(6),
-                                                                  abs=1e-12)
-        assert report.per_alpha[math.inf].bound_prop1 == pytest.approx(
-            math.log(6), abs=1e-9)
+        assert report.saturated[0] and report.all_satisfied[0]
+        assert report.actual[0, 1] == pytest.approx(math.log(6), abs=1e-12)
+        assert report.bound_prop1[0] == pytest.approx(math.log(6), abs=1e-9)
 
     def test_pure_state_bound_ordering(self):
         single = assign_povms(builtin_design("icosahedron"), "single")
-        report = audit_state(single, density_from_state([1, 0]),
+        report = audit_state(single, pure_density([1, 0]),
                              [5, 10, math.inf])
-        b = report.per_alpha[math.inf]
-        assert b.actual >= b.bound_prop1 >= b.bound_prop1_nr >= b.bound_prior
-        assert report.all_satisfied
+        assert (report.actual[0, 2] >= report.bound_prop1[0]
+                >= report.bound_prop1_nr[0] >= report.bound_prior[0, 2])
+        assert report.all_satisfied[0]
 
     def test_random_sweep_no_violations(self, oct_single, oct_mub, rng):
         for a in (oct_single, oct_mub):
             for _ in range(50):
                 report = audit_state(a, random_density(2, rng),
                                      [3, 6, math.inf])
-                assert report.all_satisfied and report.jensen_ok
+                assert report.all_satisfied[0] and report.jensen_ok[0]
 
     def test_s_substitution_valid_on_5_design(self, rng):
         single = assign_povms(builtin_design("icosahedron"), "single")
         for _ in range(25):
             report = audit_state(single, random_density(2, rng),
                                  [2, 4, math.inf], s=2)
-            assert report.all_satisfied
+            assert report.all_satisfied[0]
 
     def test_beta_m_reported_for_groups(self, oct_mub, rng):
         report = audit_state(oct_mub, random_density(2, rng), [math.inf])
-        assert len(report.beta_m) == 3
-        assert report.beta_n == pytest.approx(float(np.mean(report.beta_m)),
-                                              abs=1e-12)
+        assert report.beta_m.shape == (1, 3)
+        assert report.beta_n[0] == pytest.approx(float(np.mean(report.beta_m)),
+                                                 abs=1e-12)

@@ -271,3 +271,10 @@ class TestRepeatedCalls:
             code = main(argv)
             assert (code, capsys.readouterr().out) \
                 == fresh_outputs[tuple(argv)]
+
+
+def test_public_names_resolve():
+    names = design_uncertainty.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(design_uncertainty, name), name

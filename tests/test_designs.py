@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from closed_forms import pure_density, random_pure_state
+
 from design_uncertainty import (AssignmentError, DesignLoadError,
                                 QuantumDesign, assign_povms, builtin_design,
-                                density_from_state, frame_potential,
-                                load_design, maximally_mixed, mub_grouping,
-                                outcome_probabilities, random_density,
-                                random_pure_state, save_design, sym_dim_inv,
-                                verify_design)
+                                load_design, mub_grouping, random_density,
+                                save_design, verify_design)
+from design_uncertainty.designs import frame_potential, outcome_probabilities
+from design_uncertainty.quantum import maximally_mixed, sym_dim_inv
 
 
 class TestBuiltins:
@@ -192,7 +193,7 @@ class TestOutcomeProbabilities:
                 np.testing.assert_allclose(p, 1 / a.n_outcomes, atol=1e-14)
 
     def test_pure_z_octahedron(self, oct_single):
-        p = outcome_probabilities(oct_single, 0, density_from_state([1, 0]))
+        p = outcome_probabilities(oct_single, 0, pure_density([1, 0]))
         np.testing.assert_allclose(sorted(p), [0, 1/6, 1/6, 1/6, 1/6, 1/3],
                                    atol=1e-14)
 

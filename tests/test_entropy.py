@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from design_uncertainty import (conditional_renyi_arimoto, min_entropy,
-                                renyi_entropies, renyi_entropy,
-                                shannon_entropy)
+from design_uncertainty import conditional_renyi_arimoto, renyi_entropies
+from design_uncertainty.entropy import renyi_entropy
 
 ALPHA_GRID = [0.5, 1, 2, 3, 5, 10, math.inf]
 
@@ -28,7 +27,8 @@ class TestRenyiEntropy:
 
     def test_octahedron_pure_min_entropy(self):
         p = [1 / 3, 0, 1 / 6, 1 / 6, 1 / 6, 1 / 6]
-        assert min_entropy(p) == pytest.approx(math.log(3), abs=1e-14)
+        assert renyi_entropies(p, math.inf) == pytest.approx(math.log(3),
+                                                             abs=1e-14)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
@@ -62,6 +62,10 @@ class TestRenyiEntropy:
         with pytest.raises(ValueError, match="sum to 1"):
             renyi_entropies(p, 2)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1, 2, math.inf])
+    def test_empty_stack(self, alpha):
+        assert renyi_entropies(np.zeros((0, 3, 4)), alpha).shape == (0, 3)
+
     def test_monotone_in_alpha(self, rng):
         for _ in range(50):
             p = random_distribution(rng, 8)
@@ -71,7 +75,7 @@ class TestRenyiEntropy:
     def test_shannon_limit(self, rng):
         for _ in range(20):
             p = random_distribution(rng, 6)
-            h = shannon_entropy(p)
+            h = renyi_entropies(p, 1)
             assert abs(renyi_entropy(p, 1 + 1e-6) - h) < 1e-4
             assert abs(renyi_entropy(p, 1 - 1e-6) - h) < 1e-4
 

@@ -1,9 +1,12 @@
 """Typed errors for a false design strength and an uncertified root, the
 CLI's exit code 2 for both, for NaN or -inf alphas and for a steering
 --alpha that is not one value, state errors for non-density states in an
-audit, the s <= t guard of sweep, and bound_prop1 in the per-alpha
-satisfied check."""
+audit, the s <= t guard of sweep, bound_prop1 in the per-alpha satisfied
+check, the strength check of the steering inputs and verify_design's
+input checks."""
 
+import contextlib
+import dataclasses
 import importlib
 import json
 import math
@@ -11,13 +14,18 @@ import math
 import numpy as np
 import pytest
 
-from design_uncertainty import (AlphaBounds, DesignStrengthError,
-                                QuantumDesign, UncertifiedRootError,
-                                assign_povms, audit_states, beta_parameters,
-                                landau_pollak_cap, maximally_mixed,
-                                random_density, save_design, upsilon,
-                                upsilon_array)
+from design_uncertainty import (DesignStrengthError, QuantumDesign,
+                                UncertifiedRootError, assign_povms,
+                                audit_state, audit_states, check_strength,
+                                landau_pollak_cap, matched_alice_povms,
+                                random_density, save_design,
+                                steering_check_maxprob, steering_check_renyi,
+                                upsilon, upsilon_array, verify_design)
+from design_uncertainty import designs
+
 from design_uncertainty.cli import main
+from design_uncertainty.moments import beta_parameters
+from design_uncertainty.quantum import maximally_mixed
 
 # the package re-exports the function upsilon under the module's name
 upsilon_module = importlib.import_module("design_uncertainty.upsilon")
@@ -117,15 +125,25 @@ class TestSweepOrderGuard:
 
 
 class TestSatisfiedUsesProp1:
-    def test_prop1_above_actual_is_a_violation(self):
-        bounds = AlphaBounds(actual=1.0, bound_prior=0.5, bound_prop1=1.2,
-                             bound_prop1_nr=1.1, bound_prop2=0.9)
-        assert not bounds.satisfied
+    @staticmethod
+    def batch(oct_single, actual):
+        """A one-state, one-alpha audit with the given actual entropy and
+        bounds prior 0.5, prop1 1.2, prop1_nr 1.1, prop2 0.9."""
+        return dataclasses.replace(
+            audit_state(oct_single, maximally_mixed(2), [math.inf]),
+            actual=np.array([[actual]]), bound_prior=np.array([[0.5]]),
+            bound_prop1=np.array([1.2]), bound_prop1_nr=np.array([1.1]),
+            bound_prop2=np.array([[0.9]]))
 
-    def test_all_bounds_below_actual(self):
-        bounds = AlphaBounds(actual=1.3, bound_prior=0.5, bound_prop1=1.2,
-                             bound_prop1_nr=1.1, bound_prop2=0.9)
-        assert bounds.satisfied
+    def test_prop1_above_actual_is_a_violation(self, oct_single):
+        batch = self.batch(oct_single, 1.0)
+        assert not batch.satisfied[0, 0]
+        assert not batch.all_satisfied[0]
+
+    def test_all_bounds_below_actual(self, oct_single):
+        batch = self.batch(oct_single, 1.3)
+        assert batch.satisfied[0, 0]
+        assert batch.all_satisfied[0]
 
 
 def write_isotropic_state(path, v):
@@ -175,3 +193,77 @@ class TestNonFiniteAlpha:
     def test_audit_states(self, alpha, oct_single):
         with pytest.raises(ValueError, match="alpha >= t"):
             audit_states(oct_single, maximally_mixed(2)[None], [alpha])
+
+
+class TestSteeringChecksStrength:
+    """Both steering right-hand sides assume Bob's claimed strength, so a
+    false claim must fail as it does in audit and sweep."""
+
+    def test_library_raises(self, fake_5_design):
+        mub = assign_povms(fake_5_design, [[0, 1], [2, 3], [4, 5]])
+        alice = matched_alice_povms(mub)
+        rho = np.eye(4, dtype=complex) / 4
+        with pytest.raises(DesignStrengthError, match="not a 5-design"):
+            steering_check_renyi(rho, (2, 2), alice, mub, math.inf)
+        with pytest.raises(DesignStrengthError, match="not a 5-design"):
+            steering_check_maxprob(rho, (2, 2), alice, mub)
+
+    def test_cli_exit_2(self, fake_5_design, tmp_path, capsys):
+        design, state = tmp_path / "fake5.json", tmp_path / "iso.json"
+        save_design(fake_5_design, design)
+        write_isotropic_state(state, 0.55)
+        assert main(["steering", "--state", str(state), "--design",
+                     str(design), "--grouping", "mub"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: the design is not a 5-design: frame-potential "
+                "residual 0.00833333333333 at s=4 exceeds 1e-10") in captured.err
+
+    def test_check_strength_message_and_orders(self, fake_5_design):
+        with pytest.raises(DesignStrengthError,
+                           match="not a 5-design.* at s=4 exceeds 1e-10"):
+            check_strength(fake_5_design, 5)
+        with pytest.raises(DesignStrengthError, match="not a 4-design"):
+            check_strength(fake_5_design, 4)
+        check_strength(fake_5_design, 3)
+
+    def test_residuals_computed_once_per_design(self, fake_5_design,
+                                                monkeypatch):
+        calls = []
+        original = designs.frame_potential
+
+        def counting(design, s):
+            calls.append(s)
+            return original(design, s)
+
+        monkeypatch.setattr(designs, "frame_potential", counting)
+        fresh = QuantumDesign(dimension=2, strength=5,
+                              vectors=fake_5_design.vectors)
+        for s in (3, 5, 5):
+            with contextlib.suppress(DesignStrengthError):
+                check_strength(fresh, s)
+        assert calls == [1, 2, 3, 4, 5]
+        assert fresh.frame_residuals is fresh.frame_residuals
+        assert fresh.frame_residuals[3] == pytest.approx(1 / 120, abs=1e-12)
+
+
+class TestVerifyInputs:
+    @pytest.mark.parametrize("t", [0, -2])
+    def test_t_below_1_rejected(self, octahedron, t, capsys):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            verify_design(octahedron, t)
+        assert main(["verify", "--design", "octahedron", "--t", str(t)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: t must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-10"])
+    def test_bad_tol_rejected(self, octahedron, tol, capsys):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            verify_design(octahedron, 3, tol=float(tol))
+        assert main(["verify", "--design", "octahedron",
+                     f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: tol must be" in captured.err
+
+    def test_zero_tol_and_t_1_accepted(self, octahedron):
+        assert verify_design(octahedron, 1, tol=0.0).strength == 1

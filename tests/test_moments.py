@@ -1,14 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
-from design_uncertainty import (all_outcome_probabilities, assign_povms,
-                                beta_parameters, beta_range, builtin_design,
-                                density_from_state, maximally_mixed,
-                                power_moments, random_density, sym_dim_inv,
-                                sym_moment, sym_moment_direct)
-from design_uncertainty.quantum import MAX_TENSOR_DIM
+from closed_forms import pure_density, sym_moment_direct
+
+from design_uncertainty import assign_povms, builtin_design, random_density
+from design_uncertainty.designs import all_outcome_probabilities
+from design_uncertainty.moments import beta_parameters, beta_range, sym_moment
+from design_uncertainty.quantum import (MAX_TENSOR_DIM, maximally_mixed,
+                                        power_moments, sym_dim_inv)
+
 
 # orders above 5 small enough for the tensor oracle
 HIGH_ORDERS = [(d, s) for d in (2, 3) for s in range(6, 9)
@@ -30,7 +30,7 @@ def explicit_moment(rho, s):
 
 class TestSymMoment:
     def test_pure_state(self):
-        rho = density_from_state([1, 0])
+        rho = pure_density([1, 0])
         for s in range(2, 6):
             assert abs(sym_moment(rho, s) - 1.0) < 1e-14
 
@@ -60,7 +60,7 @@ class TestSymMoment:
 
 class TestDirectOracle:
     def test_pure_qubit_s2(self):
-        assert abs(sym_moment_direct(density_from_state([1, 0]), 2) - 1) < 1e-12
+        assert abs(sym_moment_direct(pure_density([1, 0]), 2) - 1) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_recursion_agrees_with_tensor_path(self, d, rng):
@@ -83,12 +83,12 @@ class TestBetaParameters:
         assert abs(bk - 1 / 36) < 1e-14 and abs(bn - bk) < 1e-16
 
     def test_pure_state_ceiling(self, oct_single):
-        _, bk = beta_parameters(oct_single, density_from_state([1, 0]), 3)
+        _, bk = beta_parameters(oct_single, pure_density([1, 0]), 3)
         assert abs(bk - 1 / 18) < 1e-14
 
     def test_icosahedron_pure_s5(self):
         single = assign_povms(builtin_design("icosahedron"), "single")
-        _, bk = beta_parameters(single, density_from_state([1, 0]), 5)
+        _, bk = beta_parameters(single, pure_density([1, 0]), 5)
         assert abs(bk - 12.0**-4 * 32 / 6) < 1e-15
 
     def test_s_above_strength_rejected(self, oct_single):

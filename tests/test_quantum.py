@@ -6,11 +6,13 @@ import weakref
 import numpy as np
 import pytest
 
-from design_uncertainty import (bloch_to_state, check_density,
-                                density_from_state, maximally_mixed,
-                                partial_trace, power_moments,
-                                random_densities, random_density,
-                                sym_dim_inv, sym_projector, tensor_power)
+from closed_forms import pure_density, random_pure_state
+
+from design_uncertainty import check_density, random_densities, random_density
+from design_uncertainty.quantum import (bloch_to_state, maximally_mixed,
+                                        partial_trace, power_moments,
+                                        sym_projector, tensor_power)
+
 
 
 def permutation_operator(d, sigma):
@@ -97,7 +99,7 @@ class TestSymProjector:
 
 class TestPowerMoments:
     def test_pure_state(self):
-        rho = density_from_state([1, 0])
+        rho = pure_density([1, 0])
         np.testing.assert_allclose(power_moments(rho, 4), [1, 1, 1, 1],
                                    atol=1e-14)
 
@@ -117,16 +119,6 @@ class TestPowerMoments:
 
 
 class TestRandomDensity:
-    def test_diagonal_limits(self):
-        np.testing.assert_allclose(random_density(2, 0, "diagonal", lam=0.0),
-                                   np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(random_density(2, 0, "diagonal", lam=0.5),
-                                   maximally_mixed(2))
-
-    def test_diagonal_out_of_range(self):
-        with pytest.raises(ValueError):
-            random_density(2, 0, "diagonal", lam=0.7)
-
     def test_deterministic(self):
         a = random_density(4, 123)
         b = random_density(4, 123)
@@ -135,11 +127,9 @@ class TestRandomDensity:
     @pytest.mark.parametrize("ensemble", ["pure", "hilbert-schmidt"])
     def test_invariants(self, ensemble, rng):
         for _ in range(20):
-            check_density(random_density(3, rng, ensemble))
-
-    def test_unknown_ensemble(self):
-        with pytest.raises(ValueError):
-            random_density(2, 0, "ginibre")
+            rho = pure_density(random_pure_state(3, rng)) \
+                if ensemble == "pure" else random_density(3, rng)
+            check_density(rho)
 
 
 def hilbert_schmidt_loop(d, count, seed):

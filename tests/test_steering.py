@@ -3,15 +3,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from closed_forms import upsilon_mp, upsilon_newton
+from closed_forms import pure_density, upsilon_mp, upsilon_newton
 
 from design_uncertainty import (assign_povms, builtin_design,
                                 conditional_renyi_arimoto,
-                                conditioned_ensemble, density_from_state,
-                                matched_alice_povms, maximally_mixed,
-                                mub_grouping, outcome_probabilities,
-                                partial_trace, random_density, renyi_entropy,
-                                steering_check_maxprob, steering_check_renyi)
+                                matched_alice_povms, mub_grouping,
+                                random_density, steering_check_maxprob,
+                                steering_check_renyi)
+from design_uncertainty.designs import outcome_probabilities
+from design_uncertainty.entropy import renyi_entropy
+from design_uncertainty.quantum import maximally_mixed, partial_trace
+from design_uncertainty.steering import conditioned_ensemble
+
 
 DIMS = (2, 2)
 
@@ -52,9 +55,9 @@ class TestConditionedEnsemble:
         ens = conditioned_ensemble(bell_state(), DIMS, alice[2])
         np.testing.assert_allclose(ens.weights, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(ens.states[0],
-                                   density_from_state([1, 0]), atol=1e-12)
+                                   pure_density([1, 0]), atol=1e-12)
         np.testing.assert_allclose(ens.states[1],
-                                   density_from_state([0, 1]), atol=1e-12)
+                                   pure_density([0, 1]), atol=1e-12)
 
     def test_ensemble_reconstructs_reduced_state(self, alice, rng):
         for _ in range(50):
@@ -67,7 +70,7 @@ class TestConditionedEnsemble:
 
     def test_zero_weight_outcome_flagged(self, alice):
         # Alice side pure |0>: the z-basis outcome |1> never fires
-        rho_ab = np.kron(density_from_state([1, 0]), maximally_mixed(2))
+        rho_ab = np.kron(pure_density([1, 0]), maximally_mixed(2))
         ens = conditioned_ensemble(rho_ab, DIMS, alice[2])
         assert ens.valid[0] and not ens.valid[1]
         assert ens.weights[1] == 0.0
@@ -84,7 +87,6 @@ class TestRenyiSteering:
         rho_b = random_density(2, rng)
         rho_ab = np.kron(random_density(2, rng), rho_b)
         res = steering_check_renyi(rho_ab, DIMS, alice, mub, math.inf)
-        from design_uncertainty import outcome_probabilities
         expected = np.mean([renyi_entropy(
             outcome_probabilities(mub, m, rho_b), math.inf) for m in range(3)])
         assert res.lhs == pytest.approx(expected, abs=1e-10)
@@ -220,7 +222,7 @@ class TestAgainstLoopOracle:
                            mub_grouping() if grouping == "mub" else grouping)
         alice = matched_alice_povms(bob)
         states = [bell_state(),
-                  np.kron(density_from_state([1, 0]), maximally_mixed(2))]
+                  np.kron(pure_density([1, 0]), maximally_mixed(2))]
         for _ in range(20):
             v = rng.uniform()
             states += [random_density(4, rng), random_separable(rng),

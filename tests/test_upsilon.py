@@ -7,8 +7,8 @@ from closed_forms import upsilon_closed_t2, upsilon_closed_t3, upsilon_mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from design_uncertainty import (admissible_range, chi, upsilon,
-                                upsilon_array, upsilon_nr1)
+from design_uncertainty import upsilon, upsilon_array
+from design_uncertainty.upsilon import admissible_range, upsilon_nr1
 
 GRID_CASES = [(2, 3), (6, 3), (12, 5), (30, 5)]
 
@@ -153,6 +153,12 @@ class TestOneStepBound:
         for beta, y in zip(betas, upsilon_array(n, t, betas).value):
             nr = upsilon_nr1(n, t, beta)
             assert y <= nr + 1e-14 <= beta ** (1.0 / t) + 1e-12
+
+
+def chi(k, t, beta):
+    """Relative size of the one-step correction: the single-POVM
+    improvement over the baseline min-entropy bound is -ln(1 - chi)."""
+    return 1.0 - upsilon_nr1(k, t, beta) / beta ** (1.0 / t)
 
 
 class TestChi:
