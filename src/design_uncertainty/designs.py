@@ -31,7 +31,7 @@ class DesignStrengthError(ValueError):
     state's outcome probabilities."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumDesign:
     """A set of K >= d finite unit vectors in C^d with a claimed design
     strength t; the only validator of design vectors."""
@@ -74,7 +74,7 @@ class VerificationReport:
     residuals: dict[int, float]  # s -> residual for s = 1..t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmAssignment:
     """Partition of a design into M POVMs of n outcomes each (K = n M)."""
 

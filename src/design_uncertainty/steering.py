@@ -19,7 +19,7 @@ from .entropy import conditional_renyi_arimoto
 from .quantum import PSD_ATOL, check_density, partial_trace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalEnsemble:
     """Bob's states conditioned on the outcomes of one Alice POVM."""
 
@@ -106,8 +106,11 @@ def _check_inputs(rho_ab, dims, alice_povms,
 
 
 def matched_alice_povms(assignment: PovmAssignment) -> list[list[np.ndarray]]:
-    """Alice POVMs mirroring Bob's design assignment element-for-element."""
-    return [assignment.povm_elements(m) for m in range(assignment.n_povms)]
+    """Alice POVMs correlated element-for-element with Bob's design
+    assignment on the maximally entangled state: the transposes E^T of
+    Bob's elements, since (E^T (x) I)|Phi+> = (I (x) E)|Phi+>."""
+    return [[e.T for e in assignment.povm_elements(m)]
+            for m in range(assignment.n_povms)]
 
 
 def _joint_matrices(rho_ab, dims, alice_povms,

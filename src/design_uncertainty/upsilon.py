@@ -3,28 +3,31 @@
     (n-1)^{t-1} y^t + (1 - y)^t = (n-1)^{t-1} beta,
 
 which caps the largest outcome probability when the order-t index of
-coincidence equals beta.  One iteration finds it: Newton's method started
-at beta^{1/t} (always above the root, so the convex branch converges from
-above), with a bisection guard on the bracket [1/n, beta^{1/t}].
+coincidence equals beta.  At the floor beta = n^{1-t} the root y = 1/n is
+double, where rounding beta by 1e-16 moves it by 1e-8.  So the solver works
+in the excess variables delta = y - 1/n and beta - lo, with lo the float
+n^{1-t} of admissible_range (beta - lo is exact near the floor):
 
-Every evaluated point becomes a bracket endpoint, every new iterate lies in
-the bracket, and the bracket only shrinks, so a point evaluated earlier can
-come back only as an endpoint.  The iteration therefore stops when the new
-iterate repeats: when it equals the current point or either endpoint.  In
-floating point Newton can otherwise cycle between two floats a few ulps
-apart (n = 6, t = 3, beta = 0.028 does), which no step-size tolerance
-catches.  The stop also covers bracket collapse, where the bisection
-midpoint of two adjacent floats is one of them.  Every root is certified by
-its relative residual; an uncertified root raises UncertifiedRootError.
+    G(delta) = sum_{k=2..t} a_k delta^k = rhs = (n-1)^{t-1} (beta - lo),
+    a_k = C(t, k) (n-1)^{t-k} ((n-1)^{k-1} + (-1)^k) / n^{t-k} >= 0.
 
-upsilon_array runs the iteration on an array of beta, element-wise with a
-masked Newton step and bisection guard; upsilon is its view on one beta.
-One explicit Newton step gives the analytic upper estimate used by the
-weaker bounds.
+The constant and linear terms cancel exactly, so G has no cancellation at
+any delta >= 0, and beta = lo gives y = 1/n exactly.  G is convex and
+increasing there, so Newton's method falls monotonically onto the root from
+min(sqrt(rhs / a_2), beta^{1/t} - 1/n), which lies above it (G >= a_2
+delta^2, and y = beta^{1/t} leaves the left side above the right).  It stops
+when an iterate does not decrease, where rounding takes over.  Every root is
+certified by its relative residual, or UncertifiedRootError is raised.
+
+upsilon_array runs the iteration on an array of beta, element-wise; upsilon
+is its view on one beta.  One explicit Newton step gives the analytic upper
+estimate used by the weaker bounds.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,45 +68,51 @@ def _check_queries(n: int, t: int, betas) -> np.ndarray:
     return np.clip(betas, lo, hi)
 
 
+@functools.lru_cache
+def _excess_coefficients(n: int, t: int) -> tuple[tuple[float, ...], ...]:
+    """Coefficients a_k and k a_k, k = t down to 2, of the excess polynomial
+    G(delta) = sum_k a_k delta^k and of G'(delta) / delta.  Each a_k is a
+    ratio of integers rounded once, and none is negative."""
+    ks = range(t, 1, -1)
+    a = tuple(math.comb(t, k) * (n - 1) ** (t - k)
+              * ((n - 1) ** (k - 1) + (-1) ** k) / n ** (t - k) for k in ks)
+    return a, tuple(k * a_k for k, a_k in zip(ks, a))
+
+
 def upsilon_array(n: int, t: int, betas) -> UpsilonResult:
-    """Maximal real roots for an array of beta by guarded Newton iteration,
-    element-wise.  Finished elements leave the working set, so each step
-    costs only the elements still moving."""
+    """Maximal real roots for an array of beta by Newton's method in the
+    excess variables, element-wise.  An element whose iterate stops
+    decreasing keeps its last iterate, from which every later step is the
+    same, so the loop runs until no element moves."""
     betas = np.asarray(betas, dtype=float)
     beta = _check_queries(n, t, betas).ravel()
     lo, _ = admissible_range(n, t)
     c = float(n - 1) ** (t - 1)
-    y_out = np.where(beta <= lo * (1.0 + 1e-14), 1.0 / n, 1.0)
+    ceiling = beta >= 1.0 - 1e-15
+    y_out = np.where(ceiling, 1.0, 1.0 / n)
     iters = np.zeros(beta.shape, dtype=int)
 
-    idx = np.flatnonzero((beta > lo * (1.0 + 1e-14)) & (beta < 1.0 - 1e-15))
-    b = beta[idx]
-    ylo, yhi = np.full(b.shape, 1.0 / n), b ** (1.0 / t)
-    y = yhi
-    for it in range(1, MAX_ITER + 1):
-        fy = c * (y**t - b) + (1.0 - y) ** t
-        above = fy > 0.0
-        yhi = np.where(above, y, yhi)
-        ylo = np.where(above, ylo, y)
-        d = t * (c * y ** (t - 1) - (1.0 - y) ** (t - 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ynew = y - fy / d
-        step_ok = (d != 0.0) & (ylo <= ynew) & (ynew <= yhi)
-        ynew = np.where(step_ok, ynew, 0.5 * (ylo + yhi))
-        done = ((ynew == ylo) | (ynew == yhi)
-                | (np.abs(ynew - y) < 1e-17 * np.maximum(1.0, np.abs(y))))
-        y_out[idx[done]] = ynew[done]
-        iters[idx[done]] = it
-        going = ~done
-        idx, b, ylo, yhi, y = idx[going], b[going], ylo[going], \
-            yhi[going], ynew[going]
-        if not idx.size:
+    idx = np.flatnonzero((beta > lo) & ~ceiling)
+    r = c * (beta[idx] - lo)
+    a, ka = _excess_coefficients(n, t)
+    d = np.minimum(np.sqrt(r / a[-1]), beta[idx] ** (1.0 / t) - 1.0 / n)
+    moves = np.zeros(d.shape, dtype=int)
+    for _ in range(MAX_ITER):
+        # Horner: G(d) = d^2 p, G'(d) = d q
+        p, q = a[0], ka[0]
+        for a_k, ka_k in zip(a[1:], ka[1:]):
+            p, q = p * d + a_k, q * d + ka_k
+        dnew = d - (d * d * p - r) / (d * q)
+        down = dnew < d
+        if not down.any():
             break
-    y_out[idx] = y
-    iters[idx] = MAX_ITER
+        moves += down
+        d = np.where(down, dnew, d)
+    y_out[idx] = 1.0 / n + d
+    iters[idx] = np.minimum(moves + 1, MAX_ITER)
 
     # relative residual |y^t/beta + (1-y)^t / (c beta) - 1|
-    res = np.where(beta >= 1.0 - 1e-15, 0.0,
+    res = np.where(ceiling, 0.0,
                    abs(y_out**t / beta
                        + (1.0 - y_out) ** t / (c * beta) - 1.0))
     worst = int(np.argmax(res)) if res.size else 0

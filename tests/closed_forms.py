@@ -1,11 +1,12 @@
 """Oracles for the tests.
 
 For the maximal root Y(n, t, beta): the closed forms for t = 2 and t = 3, a
-high-precision mpmath root for every t, and a scalar float Newton iteration
-kept as the per-query reference for the array solver.  For the bounds and
-moments: the closed-form min-entropy bound of the three qubit MUBs and the
-explicit tensor-projector contraction of the symmetric moment.  Also the
-pure test states the package does not build.
+high-precision mpmath root for every t (also for the float floor the solver
+uses), and a scalar float Newton iteration in y kept as a per-query
+reference for the array solver.  For the bounds and moments: the
+closed-form min-entropy bound of the three qubit MUBs and the explicit
+tensor-projector contraction of the symmetric moment.  Also the pure test
+states the package does not build.
 """
 
 import cmath
@@ -62,10 +63,12 @@ def upsilon_closed_t3(n: int, beta: float) -> float:
 
 
 def upsilon_mp(n: int, t: int, beta) -> mpmath.mpf:
-    """Y(n, t, beta) for the float beta taken exactly, at the working
-    precision (call inside mpmath.workdps).  Newton's method from
+    """Y(n, t, beta) for the float (or mpf) beta taken exactly, at the
+    working precision (call inside mpmath.workdps).  Newton's method from
     beta^{1/t}, which lies above the root, decreases onto it because f is
-    convex and increasing there."""
+    convex and increasing there; a step that would not decrease y is
+    rounding noise, which near the double root at the floor sets in before
+    the relative step falls below the working precision."""
     b = mpmath.mpf(beta)
     c = mpmath.mpf(n - 1) ** (t - 1)
     y = b ** (mpmath.mpf(1) / t)
@@ -73,6 +76,8 @@ def upsilon_mp(n: int, t: int, beta) -> mpmath.mpf:
     for _ in range(1000):
         step = (c * (y**t - b) + (1 - y) ** t) \
             / (t * (c * y ** (t - 1) - (1 - y) ** (t - 1)))
+        if step <= 0:
+            return y
         y -= step
         if abs(step) <= tiny * y:
             return y
@@ -80,10 +85,23 @@ def upsilon_mp(n: int, t: int, beta) -> mpmath.mpf:
                           f"beta={beta}")
 
 
+def upsilon_mp_float_floor(n: int, t: int, beta) -> mpmath.mpf:
+    """Y for the root equation whose floor is the float n^{1-t} of
+    admissible_range, the equation upsilon_array solves: upsilon_mp at
+    beta + (n^{1-t} - float n^{1-t}), all exact.  It equals 1/n at the float
+    floor, and it differs from upsilon_mp by up to ~1e-8 relative just above
+    it, where the root is double."""
+    lo, _ = admissible_range(n, t)
+    return upsilon_mp(n, t, mpmath.mpf(beta) - mpmath.mpf(lo)
+                      + mpmath.mpf(n) ** (1 - t))
+
+
 def upsilon_newton(n: int, t: int, beta: float) -> UpsilonResult:
-    """Maximal real root by the guarded Newton iteration of upsilon_array,
+    """Maximal real root by a guarded Newton iteration in y and beta,
     written with Python floats for one query: the bracket, the bisection
-    guard, the repeated-iterate stop and the residual certificate."""
+    guard, the repeated-iterate stop and the residual certificate.  It
+    returns 1/n for beta up to n^{1-t} (1 + 1e-14), up to 1.7e-7 below the
+    root, so it is a reference for upsilon_array away from the floor."""
     beta = _clamped(n, t, beta)
     lo, _ = admissible_range(n, t)
     c = float(n - 1) ** (t - 1)

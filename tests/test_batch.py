@@ -2,11 +2,14 @@
 each checked against an independent per-element or per-state path."""
 
 import dataclasses
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from closed_forms import pure_density, random_pure_state, upsilon_newton
+from closed_forms import (pure_density, random_pure_state,
+                          upsilon_mp_float_floor, upsilon_newton)
 
 from design_uncertainty import (assign_povms, audit_state, audit_states,
                                 bound_curves, bound_prior, bound_prop1,
@@ -26,6 +29,7 @@ from design_uncertainty.upsilon import (MAX_ITER, admissible_range,
 
 GRID_CASES = [(2, 3), (6, 3), (12, 5), (30, 5)]
 ITER_LIMIT = 50
+ARRAY_ITER_LIMIT = 10   # Newton from above in the excess variables
 
 
 def linspace_grid(n, t, points=2000):
@@ -39,10 +43,21 @@ def floor_grid(n, t, points=500):
     return grid[grid <= hi]
 
 
+def coarse_grid(n, t):
+    return linspace_grid(n, t, 200)
+
+
+@functools.cache
+def float_floor_roots(n, t, grid):
+    """60-digit roots of the equation upsilon_array solves, on a grid."""
+    with mpmath.workdps(60):
+        return tuple(upsilon_mp_float_floor(n, t, b) for b in grid(n, t))
+
+
 class TestStopRule:
     def test_two_float_cycle_terminates(self):
-        # Newton alternates between 0.1856262513955634 and a float about
-        # 7 ulps away; only a repeated-iterate stop ends it
+        # Newton in y and beta alternates between 0.1856262513955634 and a
+        # float about 7 ulps away, which no step-size tolerance ends
         res = upsilon(6, 3, 0.028)
         assert res.iterations < ITER_LIMIT
         assert res.residual <= 1e-12
@@ -55,7 +70,7 @@ class TestStopRule:
         scalar = max(upsilon_newton(n, t, b).iterations for b in betas)
         array = upsilon_array(n, t, betas).iterations.max()
         assert scalar <= ITER_LIMIT < MAX_ITER
-        assert array <= ITER_LIMIT
+        assert array <= ARRAY_ITER_LIMIT
 
 
 class TestArraySolver:
@@ -69,13 +84,25 @@ class TestArraySolver:
 
     @pytest.mark.parametrize("n, t", GRID_CASES)
     def test_near_floor_within_conditioning(self, n, t):
-        # at the floor the root is double: an error e in f moves it by
-        # about sqrt(e), so the two solvers may part in the ninth digit
+        # at the floor the root is double, so an error e in beta moves it
+        # by about sqrt(e); in the excess variables the equation with the
+        # float floor is well conditioned, and its root is met to 1e-15
         betas = floor_grid(n, t)
         res = upsilon_array(n, t, betas)
-        ys = np.array([upsilon_newton(n, t, b).value for b in betas])
-        assert np.all(np.abs(res.value - ys) <= 1e-8 * ys)
+        roots = float_floor_roots(n, t, floor_grid)
+        assert all(abs(mpmath.mpf(y) - root) <= 1e-15 * root
+                   for y, root in zip(res.value, roots))
         assert np.all(res.residual <= 1e-12)
+
+    @pytest.mark.parametrize("n, t", GRID_CASES)
+    @pytest.mark.parametrize("grid", [coarse_grid, floor_grid])
+    def test_never_below_root(self, n, t, grid):
+        # a Y below the root would make -ln Y claim more entropy than the
+        # maths backs; rounding may put it at most 2 ulp below
+        ys = upsilon_array(n, t, grid(n, t)).value
+        roots = float_floor_roots(n, t, grid)
+        assert all(mpmath.mpf(y) >= root - 2 * np.spacing(float(root))
+                   for y, root in zip(ys, roots))
 
     def test_shape_and_corner_cases(self):
         lo, hi = admissible_range(6, 3)

@@ -12,6 +12,7 @@ from design_uncertainty import (AssignmentError, DesignLoadError,
                                 save_design, verify_design)
 from design_uncertainty.designs import frame_potential, outcome_probabilities
 from design_uncertainty.quantum import maximally_mixed, sym_dim_inv
+from design_uncertainty.steering import conditioned_ensemble
 
 
 class TestBuiltins:
@@ -54,6 +55,27 @@ class TestQuantumDesign:
         vectors[3, 0] = bad
         with pytest.raises(ValueError, match="vector 3"):
             QuantumDesign(dimension=2, strength=3, vectors=vectors)
+
+
+def _ensemble(octahedron):
+    phi = np.zeros(4, complex)
+    phi[0] = phi[3] = 1 / math.sqrt(2)
+    alice = assign_povms(octahedron, mub_grouping()).povm_elements(2)
+    return conditioned_ensemble(np.outer(phi, phi.conj()), (2, 2), alice)
+
+
+class TestIdentitySemantics:
+    # the fields hold ndarrays, whose == is element-wise: two objects with
+    # equal contents compare unequal, and each hashes by identity
+    @pytest.mark.parametrize("build", [
+        lambda o: QuantumDesign(2, 3, o.vectors.copy()),
+        lambda o: assign_povms(o, mub_grouping()),
+        _ensemble,
+    ], ids=["QuantumDesign", "PovmAssignment", "ConditionalEnsemble"])
+    def test_hash_and_compare_by_identity(self, octahedron, build):
+        a, b = build(octahedron), build(octahedron)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestFramePotential:

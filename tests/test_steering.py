@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from closed_forms import pure_density, upsilon_mp, upsilon_newton
 
-from design_uncertainty import (assign_povms, builtin_design,
+from design_uncertainty import (QuantumDesign, assign_povms, builtin_design,
                                 conditional_renyi_arimoto,
                                 matched_alice_povms, mub_grouping,
                                 random_density, steering_check_maxprob,
@@ -148,6 +148,43 @@ class TestMaxProbSteering:
         res = steering_check_maxprob(bell_state(), DIMS, alice, mub)
         assert res.lhs == pytest.approx(1.0, abs=1e-10)
         assert not res.satisfied
+
+
+def qutrit_mubs():
+    """The complete set of 4 MUBs in d = 3, a 2-design of 12 vectors: the
+    computational basis and the bases omega^(k j^2 + l j) / sqrt(3), k = 0..2,
+    after Wootters & Fields (1989); one POVM per basis."""
+    omega = np.exp(2j * np.pi / 3)
+    j = np.arange(3)
+    vectors = [np.eye(3)] + [
+        np.array([omega ** (k * j * j + ell * j) for ell in range(3)])
+        / math.sqrt(3) for k in range(3)]
+    design = QuantumDesign(3, 2, np.concatenate(vectors))
+    return assign_povms(design, [[3 * b + i for i in range(3)]
+                                 for b in range(4)])
+
+
+class TestMatchedAlicePovms:
+    def test_transposes_of_bob_elements(self):
+        bob = qutrit_mubs()
+        for m, povm in enumerate(matched_alice_povms(bob)):
+            for f, e in zip(povm, bob.povm_elements(m)):
+                np.testing.assert_array_equal(f, e.T)
+
+    def test_maximally_entangled_qutrits_steer(self):
+        # Bob's own elements on Alice's side correlate only the real
+        # basis: the Renyi lhs was 0.549 against rhs 0.405, and the
+        # max-probability lhs 0.667 against cap 0.667
+        bob = qutrit_mubs()
+        alice = matched_alice_povms(bob)
+        phi = np.eye(3).ravel() / math.sqrt(3)
+        rho = np.outer(phi, phi.conj())
+        renyi = steering_check_renyi(rho, (3, 3), alice, bob, math.inf)
+        assert renyi.lhs == pytest.approx(0.0, abs=1e-10)
+        assert not renyi.satisfied
+        maxprob = steering_check_maxprob(rho, (3, 3), alice, bob)
+        assert maxprob.lhs == pytest.approx(1.0, abs=1e-10)
+        assert not maxprob.satisfied
 
 
 CHECKS = [lambda rho, dims, alice, mub: steering_check_renyi(

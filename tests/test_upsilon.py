@@ -84,11 +84,9 @@ class TestMpmathOracle:
                 root = upsilon_mp(n, t, beta)
                 assert abs(mpmath.mpf(y) - root) <= 1e-15 * root
 
-    # CHANGES.md, "FOUND: near the floor beta_n -> n^{1-t} the root Y is
-    # double": the floor shortcut returns 1/n up to 1.7e-7 below the root;
-    # here 2.1e-8 below it, 1.3e-7 relative
-    @pytest.mark.xfail(strict=True, reason="floor shortcut returns 1/n "
-                       "below the root just above the floor")
+    # just above the floor the root is double, so the rounding of beta
+    # moves it by ~1e-8.  This oracle takes the exact floor n^{1-t}, not
+    # the float one upsilon_array solves with, which moves it by ~1e-9
     def test_near_floor_against_bisection(self):
         n, t = 6, 3
         beta = float(n) ** (1 - t) * (1.0 + 1e-14)
