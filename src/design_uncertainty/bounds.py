@@ -1,7 +1,9 @@
 """Uncertainty bounds for POVMs assigned to a t-design.
 
 Three families of lower bounds on the (average) Renyi entropy are evaluated
-as functions of the rescaled index of coincidence beta_n:
+as functions of the rescaled index of coincidence
+beta_n = n^{1-t} d^t tr(rho^{otimes t} P_sym) / dim_sym, whose admissible
+interval beta_range gives (beta is the same with K in place of n):
 
   bound_prior     the norm-monotonicity baseline (alpha/(t(1-alpha))) ln beta_n,
                   with -(1/t) ln beta_n at alpha = inf;
@@ -26,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import PovmAssignment, outcome_probability_batch
+from .designs import (DesignStrengthError, PovmAssignment,
+                      outcome_probability_batch)
 from .entropy import renyi_entropies
-from .moments import beta_range, betas_from_power_sums, check_index_identity
-from .quantum import density_spectra, power_sums
+from .quantum import (complete_homogeneous, density_spectra, power_sums,
+                      sym_dim_inv)
 from .upsilon import (_check_queries, upsilon, upsilon_array, upsilon_nr1,
                       upsilon_nr1_array)
 
@@ -77,6 +80,39 @@ class AuditBatch:
         """(N,) whether each state satisfies every alpha and its cap."""
         return (np.all(self.satisfied, axis=1)
                 & (self.max_prob_actual <= self.max_prob_cap + 1e-10))
+
+
+def beta_range(n: int, d: int, s: int) -> tuple[float, float]:
+    """Closed admissible interval of the rescaled index of coincidence:
+    (n^{1-s}, n^{1-s} d^s / dim_sym)."""
+    lo = float(n) ** (1 - s)
+    return lo, lo * d**s * sym_dim_inv(d, s)
+
+
+def check_order(assignment: PovmAssignment, s: int) -> None:
+    """Reject an index order s outside 2..t, t the design strength."""
+    strength = assignment.design.strength
+    if s > strength:
+        raise ValueError(f"s={s} exceeds the design strength {strength}")
+    if s < 2:
+        raise ValueError("s must be >= 2")
+
+
+def _check_index_identity(assignment: PovmAssignment, beta_m, beta_n,
+                          s: int) -> None:
+    """Verify sum_m sum_j p_j^s = M beta_n to 1e-10, the identity every
+    s-design obeys.  beta_m[..., m] = sum_j p_j^s of POVM m; beta_m and
+    beta_n may hold a stack of states.  A failure means the claimed strength
+    is false and raises DesignStrengthError."""
+    lhs = np.sum(beta_m, axis=-1)
+    rhs = assignment.n_povms * np.asarray(beta_n)
+    bad = np.flatnonzero(~(np.abs(lhs - rhs) <= 1e-10))
+    if bad.size:
+        i = bad[0]
+        raise DesignStrengthError(
+            f"index-of-coincidence identity violated: "
+            f"sum p^{s} = {np.ravel(lhs)[i]} vs M*beta_n = {np.ravel(rhs)[i]}; "
+            f"the design is not a {s}-design")
 
 
 def _check_alpha(t: int, alpha) -> None:
@@ -180,9 +216,10 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     """Evaluate actual entropies and every bound for a stack of states.
 
     rhos is (N, d, d); alphas may contain floats >= s and math.inf; s
-    defaults to the design strength.  Every state must be a density matrix
-    (ValueError otherwise); the batched eigvalsh that checks positivity
-    gives the moments and the purity, one contraction every outcome
+    defaults to the design strength and must lie in 2..t (check_order).
+    Every state must be a density matrix (ValueError otherwise); the
+    batched eigvalsh that checks positivity gives the power sums, hence
+    beta_n, beta and the purity, one contraction every outcome
     probability.  The index-of-coincidence identity is checked against
     those probabilities, which verifies the claimed strength on every
     state.  One array root solve on beta_n and the per-POVM sums beta_m
@@ -192,17 +229,20 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     """
     design = assignment.design
     t = design.strength if s is None else s
-    n = assignment.n_outcomes
+    d, n = design.dimension, assignment.n_outcomes
     alphas = tuple(alphas)
     for alpha in alphas:
         _check_alpha(t, alpha)
+    check_order(assignment, t)
     rhos = np.asarray(rhos, dtype=complex)
     evals = density_spectra(rhos)
     probs = outcome_probability_batch(assignment, rhos)       # (N, M, n)
     p = power_sums(evals, t)
-    bn, bk = betas_from_power_sums(assignment, p, t)
+    # d^t tr(rho^{otimes t} P_sym) / dim_sym, rescaled by n^{1-t} and K^{1-t}
+    scale = d**t * sym_dim_inv(d, t) * complete_homogeneous(p, t)
+    bn, bk = float(n) ** (1 - t) * scale, float(design.size) ** (1 - t) * scale
     beta_m = np.sum(probs**t, axis=-1)                         # (N, M)
-    check_index_identity(assignment, beta_m, bn, t)
+    _check_index_identity(assignment, beta_m, bn, t)
 
     y_all = upsilon_array(n, t, np.concatenate([bn, beta_m.ravel()])).value
     y, y_m = y_all[:len(bn)], y_all[len(bn):].reshape(beta_m.shape)

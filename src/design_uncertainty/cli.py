@@ -15,11 +15,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import audit_states, bound_curves
-from .designs import (BUILTINS, AssignmentError, DesignLoadError,
+from .bounds import audit_states, beta_range, bound_curves, check_order
+from .designs import (BUILTINS, AssignmentError, DesignLoadError, _is_int,
                       assign_povms, builtin_design, check_strength,
                       load_design, mub_grouping, verify_design)
-from .moments import beta_range, check_order
 from .quantum import maximally_mixed, random_densities
 from .steering import (matched_alice_povms, steering_check_maxprob,
                        steering_check_renyi)
@@ -58,7 +57,10 @@ def _load_bipartite_state(path):
     with open(path) as fh:
         raw = json.load(fh)
     try:
-        da, db = (int(x) for x in raw["dims"])
+        da, db = raw["dims"]
+        if not all(_is_int(x) and x >= 1 for x in (da, db)):
+            raise ValueError(f"dims must be two integers >= 1, "
+                             f"got {raw['dims']}")
         # [re, im] pairs to complex entries; any other last axis is a ValueError
         mat = np.asarray(raw["matrix"], dtype=float) @ np.array([1.0, 1j])
     except (TypeError, ValueError) as exc:

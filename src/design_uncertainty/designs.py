@@ -31,16 +31,27 @@ class DesignStrengthError(ValueError):
     state's outcome probabilities."""
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer and not a bool: 3.0 and True are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumDesign:
     """A set of K >= d finite unit vectors in C^d with a claimed design
-    strength t; the only validator of design vectors."""
+    strength t, both integers >= 1; the only validator of design vectors."""
 
     dimension: int
     strength: int
     vectors: np.ndarray  # (K, d) complex, rows unit norm
 
     def __post_init__(self):
+        for name in ("dimension", "strength"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, int(value))
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[1] != self.dimension:
             raise ValueError(f"vectors must be (K, {self.dimension}), got {v.shape}")
@@ -186,8 +197,8 @@ def load_design(path) -> QuantumDesign:
     try:
         # [re, im] pairs to complex entries; any other last axis is a ValueError
         vectors = np.asarray(raw["vectors"], dtype=float) @ np.array([1.0, 1j])
-        return QuantumDesign(dimension=int(raw["dimension"]),
-                             strength=int(raw["strength"]), vectors=vectors)
+        return QuantumDesign(dimension=raw["dimension"],
+                             strength=raw["strength"], vectors=vectors)
     except KeyError as exc:
         raise DesignLoadError(f"design file {path} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -244,8 +255,12 @@ def verify_design(design: QuantumDesign, t: int, tol: float = FRAME_TOL,
 
 def check_strength(design: QuantumDesign, s: int) -> None:
     """Raise DesignStrengthError unless the design passes verify_design's
-    frame test at every order up to s, 1 <= s <= its claimed strength, at
-    tolerance FRAME_TOL; reads the design's cached frame_residuals."""
+    frame test at every order up to s, at tolerance FRAME_TOL; reads the
+    design's cached frame_residuals.  ValueError for s outside 1..t, t its
+    claimed strength."""
+    if not 1 <= s <= design.strength:
+        raise ValueError(f"s must lie in 1..{design.strength}, the claimed "
+                         f"strength, got {s}")
     for k, r in enumerate(design.frame_residuals[:s], start=1):
         if not r <= FRAME_TOL:
             raise DesignStrengthError(
@@ -257,8 +272,9 @@ def assign_povms(design: QuantumDesign, grouping="single") -> PovmAssignment:
     """Assign POVMs to a design.
 
     grouping "single" takes the whole design as one POVM of K elements;
-    otherwise grouping is a partition of {0..K-1} into equal-sized blocks,
-    each of which must resolve the identity as (d/n) sum |phi><phi| = I.
+    otherwise grouping is a partition of {0..K-1} into equal-sized blocks
+    of integer indices, each of which must resolve the identity as
+    (d/n) sum |phi><phi| = I.
     """
     k, d = design.size, design.dimension
     if isinstance(grouping, str):
@@ -266,7 +282,16 @@ def assign_povms(design: QuantumDesign, grouping="single") -> PovmAssignment:
             raise ValueError(f"unknown grouping {grouping!r}")
         groups = (tuple(range(k)),)
     else:
-        groups = tuple(tuple(int(i) for i in g) for g in grouping)
+        try:
+            groups = tuple(tuple(g) for g in grouping)
+        except TypeError:
+            raise AssignmentError("grouping must be a list of index "
+                                  "lists") from None
+        bad = [i for g in groups for i in g if not _is_int(i)]
+        if bad:
+            raise AssignmentError(f"grouping index {bad[0]!r} is not an "
+                                  f"integer")
+        groups = tuple(tuple(int(i) for i in g) for g in groups)
         sizes = {len(g) for g in groups}
         if len(sizes) != 1:
             raise AssignmentError(f"blocks have unequal sizes {sorted(sizes)}")

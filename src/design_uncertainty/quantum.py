@@ -1,5 +1,6 @@
 """Complex linear-algebra substrate: states, density matrices, tensor powers,
-partial traces, symmetric projectors and seeded random sampling.
+partial traces, symmetric projectors, symmetric moments and seeded random
+sampling.
 
 Everything here is a pure function of its inputs.  States are plain complex
 numpy vectors, density matrices are plain complex numpy arrays; validators
@@ -183,6 +184,18 @@ def power_sums(evals, qmax: int) -> np.ndarray:
     evals = np.clip(evals, 0.0, None)
     return np.stack([np.sum(evals**q, axis=-1) for q in range(1, qmax + 1)],
                     axis=-1)
+
+
+def complete_homogeneous(p, s: int):
+    """h_s of the eigenvalues from their power sums p[..., q-1] = tr(rho^q),
+    q = 1..s; p may hold the power sums of a stack of states.
+
+    h_s = tr(rho^{otimes s} P_sym^(s)), the symmetric moment, by the Newton
+    recursion k h_k = sum_{q=1}^{k} tr(rho^q) h_{k-q}, h_0 = 1."""
+    h = [1.0]
+    for k in range(1, s + 1):
+        h.append(sum(p[..., q - 1] * h[k - q] for q in range(1, k + 1)) / k)
+    return h[s]
 
 
 def random_density(d: int, rng) -> np.ndarray:

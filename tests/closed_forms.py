@@ -4,9 +4,10 @@ For the maximal root Y(n, t, beta): the closed forms for t = 2 and t = 3, a
 high-precision mpmath root for every t (also for the float floor the solver
 uses), and a scalar float Newton iteration in y kept as a per-query
 reference for the array solver.  For the bounds and moments: the
-closed-form min-entropy bound of the three qubit MUBs and the explicit
-tensor-projector contraction of the symmetric moment.  Also the pure test
-states the package does not build.
+closed-form min-entropy bound of the three qubit MUBs, the explicit
+tensor-projector contraction of the symmetric moment and the index-of-
+coincidence parameters built on it.  Also the pure test states the package
+does not build.
 """
 
 import cmath
@@ -169,6 +170,16 @@ def sym_moment_direct(rho, s: int) -> float:
     big = tensor_power(rho, s)
     proj = sym_projector(rho.shape[0], s)
     return float(np.real(np.sum(big * proj.T)))
+
+
+def beta_parameters_direct(assignment, rho, s: int) -> tuple[float, float]:
+    """(beta_n, beta) of one state at order s from the tensor contraction:
+    n^{1-s} d^s tr(rho^{otimes s} P_sym) / binom(d+s-1, s), and the same
+    with K in place of n."""
+    d = assignment.design.dimension
+    scale = d**s * sym_moment_direct(rho, s) / math.comb(d + s - 1, s)
+    return (float(assignment.n_outcomes) ** (1 - s) * scale,
+            float(assignment.design.size) ** (1 - s) * scale)
 
 
 def pure_density(psi) -> np.ndarray:

@@ -12,20 +12,25 @@ import pytest
 from closed_forms import (mub_min_bound, sym_moment_direct,
                           upsilon_closed_t2, upsilon_closed_t3)
 
-from design_uncertainty import (assign_povms, audit_states, bound_curves,
-                                bound_prior, bound_prop1, builtin_design,
-                                matched_alice_povms, mub_grouping,
-                                random_densities, random_density,
+from design_uncertainty import (assign_povms, audit_state, audit_states,
+                                bound_curves, bound_prior, bound_prop1,
+                                builtin_design, matched_alice_povms,
+                                mub_grouping, random_densities, random_density,
                                 renyi_entropies, steering_check_maxprob,
                                 steering_check_renyi, upsilon, upsilon_array,
                                 verify_design)
+from design_uncertainty.bounds import beta_range
 from design_uncertainty.designs import outcome_probabilities
-from design_uncertainty.moments import beta_parameters, beta_range, sym_moment
-from design_uncertainty.quantum import (maximally_mixed, power_moments,
-                                        sym_dim_inv)
+from design_uncertainty.quantum import (complete_homogeneous, maximally_mixed,
+                                        power_moments, sym_dim_inv)
 from design_uncertainty.upsilon import admissible_range
 
 BUILTINS = [("octahedron", 3), ("icosahedron", 5), ("icosidodecahedron", 5)]
+
+
+def moment(rho, s):
+    """h_s of one state by the power-sum recursion."""
+    return complete_homogeneous(power_moments(rho, s), s)
 
 
 def report(number, label, t0):
@@ -53,15 +58,15 @@ def test_02_moment_oracle_equivalence():
         for _ in range(100):
             rho = random_density(d, rng)
             for s in range(2, 6):
-                assert abs(sym_moment(rho, s)
+                assert abs(moment(rho, s)
                            - sym_moment_direct(rho, s)) < 1e-10
     # regression: printed low-order expansions in power moments
     rho = random_density(3, rng)
     m = power_moments(rho, 4)
-    assert sym_moment(rho, 2) == pytest.approx((1 + m[1]) / 2, abs=1e-12)
-    assert sym_moment(rho, 3) == pytest.approx(
+    assert moment(rho, 2) == pytest.approx((1 + m[1]) / 2, abs=1e-12)
+    assert moment(rho, 3) == pytest.approx(
         (1 + 3 * m[1] + 2 * m[2]) / 6, abs=1e-12)
-    assert sym_moment(rho, 4) == pytest.approx(
+    assert moment(rho, 4) == pytest.approx(
         (1 + 6 * m[1] + 3 * m[1] ** 2 + 8 * m[2] + 6 * m[3]) / 24, abs=1e-12)
     report(2, "moment recursion vs tensor-projector oracle", t0)
 
@@ -79,7 +84,7 @@ def test_03_index_identity():
             for s in range(2, t + 1):
                 lhs = float(np.sum(probs ** s))
                 rhs = k * k ** (-s) * d ** s * sym_dim_inv(d, s) \
-                    * sym_moment(rho, s)
+                    * moment(rho, s)
                 assert abs(lhs - rhs) < 1e-10
     report(3, "index identity for all built-ins, s <= t", t0)
 
@@ -90,7 +95,7 @@ def test_04_saturation_at_maximally_mixed():
         assignment = assign_povms(builtin_design(name), "single")
         k = assignment.n_outcomes
         rho = maximally_mixed(assignment.design.dimension)
-        _, beta = beta_parameters(assignment, rho, t)
+        beta = audit_state(assignment, rho, (), t).beta[0]
         assert bound_prop1(k, t, beta) == pytest.approx(math.log(k), abs=1e-9)
         probs = outcome_probabilities(assignment, 0, rho)
         assert renyi_entropies(probs, math.inf) == pytest.approx(

@@ -8,21 +8,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from closed_forms import (pure_density, random_pure_state,
-                          upsilon_mp_float_floor, upsilon_newton)
+from closed_forms import (beta_parameters_direct, pure_density,
+                          random_pure_state, upsilon_mp_float_floor,
+                          upsilon_newton)
 
 from design_uncertainty import (assign_povms, audit_state, audit_states,
                                 bound_curves, bound_prior, bound_prop1,
                                 bound_prop1_nr, bound_prop2, builtin_design,
                                 mub_grouping, random_density, renyi_entropies,
                                 upsilon, upsilon_array)
-from design_uncertainty.bounds import SAT_ATOL
+from design_uncertainty.bounds import SAT_ATOL, beta_range
 from design_uncertainty.cli import main
 from design_uncertainty.designs import (all_outcome_probabilities,
                                         outcome_probabilities,
                                         outcome_probability_batch)
 from design_uncertainty.entropy import renyi_entropy
-from design_uncertainty.moments import beta_parameters, beta_range
 from design_uncertainty.quantum import maximally_mixed
 from design_uncertainty.upsilon import (MAX_ITER, admissible_range,
                                         upsilon_nr1, upsilon_nr1_array)
@@ -173,11 +173,12 @@ class TestBoundCurves:
 
 def reference_audit(assignment, rho, alphas, s=None):
     """Oracle: the per-state audit, one scalar query per quantity, with
-    the roots from the scalar reference solver; the per-alpha entries are
-    lists in the order of alphas."""
+    beta_n and beta from the tensor contraction and the roots from the
+    scalar reference solver; the per-alpha entries are lists in the order
+    of alphas."""
     t = assignment.design.strength if s is None else s
     n = assignment.n_outcomes
-    bn, bk = beta_parameters(assignment, rho, t)
+    bn, bk = beta_parameters_direct(assignment, rho, t)
     probs = all_outcome_probabilities(assignment, rho)
     y = upsilon_newton(n, t, bn).value
     y_m = [upsilon_newton(n, t, float(np.sum(row**t))).value

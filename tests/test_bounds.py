@@ -8,7 +8,7 @@ from design_uncertainty import (assign_povms, audit_state, bound_prior,
                                 bound_prop1, bound_prop1_nr, bound_prop2,
                                 builtin_design, landau_pollak_cap,
                                 random_density, state_independent_bound)
-from design_uncertainty.moments import beta_range
+from design_uncertainty.bounds import beta_range
 from design_uncertainty.quantum import maximally_mixed
 from design_uncertainty.upsilon import upsilon_nr1
 

@@ -222,6 +222,51 @@ class TestSteering:
         assert "error: malformed state file" in capsys.readouterr().err
 
 
+class TestIntegerFields:
+    """JSON numbers that must be integers: a float, a bool or a null is an
+    input error, never truncated by int()."""
+
+    @pytest.mark.parametrize("grouping", [
+        [[0, 1], [2, 3], [4, 5.7]], 5, [1, 2, 3, 4, 5, 6],
+        [[0, 1], [2, 3], [4, None]]], ids=["5.7", "int", "flat", "null"])
+    def test_grouping_file_exit_2(self, tmp_path, capsys, grouping):
+        path = tmp_path / "grouping.json"
+        path.write_text(json.dumps(grouping))
+        assert main(["audit", "--design", "octahedron", "--grouping",
+                     str(path), "--samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: grouping" in captured.err
+
+    @pytest.mark.parametrize("field, value", [("strength", 3.9),
+                                              ("strength", True),
+                                              ("dimension", 2.0)])
+    def test_design_file_exit_2(self, octahedron, tmp_path, capsys, field,
+                                value):
+        path = tmp_path / "design.json"
+        save_design(octahedron, path)
+        raw = json.loads(path.read_text())
+        raw[field] = value
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--design", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: design file {path}: {field} must be an integer" \
+            in captured.err
+
+    @pytest.mark.parametrize("dims", [[2.9, 2], [2, 2.0], [True, 4], [0, 4]])
+    def test_state_dims_exit_2(self, tmp_path, capsys, dims):
+        state = tmp_path / "state.json"
+        write_bell_state(state)
+        raw = json.loads(state.read_text())
+        raw["dims"] = dims
+        state.write_text(json.dumps(raw))
+        assert main(["steering", "--state", str(state),
+                     "--design", "octahedron"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dims must be two integers >= 1" in captured.err
+
+
 # Calls run back to back in one process, sharing the cached parser and
 # designs, against the same calls each run in a fresh interpreter.
 REPEATED_CALLS = [

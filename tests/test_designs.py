@@ -56,6 +56,20 @@ class TestQuantumDesign:
         with pytest.raises(ValueError, match="vector 3"):
             QuantumDesign(dimension=2, strength=3, vectors=vectors)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dimension", 2.0), ("dimension", True), ("dimension", 0),
+        ("strength", 3.9), ("strength", True), ("strength", 0),
+        ("strength", "3")])
+    def test_rejects_non_integer_fields(self, octahedron, field, value):
+        fields = {"dimension": 2, "strength": 3, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            QuantumDesign(vectors=octahedron.vectors, **fields)
+
+    def test_numpy_integers_stored_as_int(self, octahedron):
+        design = QuantumDesign(dimension=np.int64(2), strength=np.int32(3),
+                               vectors=octahedron.vectors)
+        assert type(design.dimension) is int and type(design.strength) is int
+
 
 def _ensemble(octahedron):
     phi = np.zeros(4, complex)
@@ -161,6 +175,20 @@ class TestDesignIO:
         with pytest.raises(DesignLoadError):
             load_design(path)
 
+    @pytest.mark.parametrize("field, value", [("strength", 3.9),
+                                              ("strength", True),
+                                              ("dimension", 2.5)])
+    def test_rejects_non_integer_field(self, octahedron, tmp_path, field,
+                                       value):
+        # int() would load 3.9 as 3 and True as 1
+        path = tmp_path / "bad.json"
+        save_design(octahedron, path)
+        raw = json.loads(path.read_text())
+        raw[field] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DesignLoadError, match=f"{field} must be an integer"):
+            load_design(path)
+
     def test_rejects_k_less_than_d(self, tmp_path):
         path = tmp_path / "small.json"
         path.write_text(json.dumps(
@@ -205,6 +233,21 @@ class TestAssignPovms:
     def test_unequal_blocks_rejected(self, octahedron):
         with pytest.raises(AssignmentError):
             assign_povms(octahedron, [[0, 1, 2], [3, 4], [5]])
+
+    @pytest.mark.parametrize("grouping, match", [
+        ([[0, 1], [2, 3], [4, 5.7]], "index 5.7 is not an integer"),
+        ([[0, 1], [2, 3], [4, 5.0]], "index 5.0 is not an integer"),
+        ([[0, 1], [2, 3], [4, None]], "index None is not an integer"),
+        ([[0, 1], [2, 3], [4, True]], "index True is not an integer"),
+        (5, "list of index lists"),
+        ([0, 1, 2, 3, 4, 5], "list of index lists")])
+    def test_non_integer_grouping_rejected(self, octahedron, grouping, match):
+        with pytest.raises(AssignmentError, match=match):
+            assign_povms(octahedron, grouping)
+
+    def test_numpy_index_array_accepted(self, octahedron):
+        a = assign_povms(octahedron, np.array(mub_grouping()))
+        assert a.groups == ((0, 1), (2, 3), (4, 5))
 
 
 class TestOutcomeProbabilities:

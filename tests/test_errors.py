@@ -24,7 +24,6 @@ from design_uncertainty import (DesignStrengthError, QuantumDesign,
 from design_uncertainty import designs
 
 from design_uncertainty.cli import main
-from design_uncertainty.moments import beta_parameters
 from design_uncertainty.quantum import maximally_mixed
 
 # the package re-exports the function upsilon under the module's name
@@ -44,10 +43,10 @@ class TestDesignStrengthError:
     def test_false_strength_detected(self, fake_5_design, rng):
         single = assign_povms(fake_5_design, "single")
         # the identity holds on the maximally mixed state for any strength
-        beta_parameters(single, maximally_mixed(2), 5)
+        audit_state(single, maximally_mixed(2), (), 5)
         rho = random_density(2, rng)
         with pytest.raises(DesignStrengthError, match="not a 5-design"):
-            beta_parameters(single, rho, 5)
+            audit_state(single, rho, (), 5)
         with pytest.raises(DesignStrengthError):
             audit_states(single, rho[None], [math.inf])
         with pytest.raises(DesignStrengthError, match="not a 5-design"):
@@ -226,6 +225,14 @@ class TestSteeringChecksStrength:
         with pytest.raises(DesignStrengthError, match="not a 4-design"):
             check_strength(fake_5_design, 4)
         check_strength(fake_5_design, 3)
+
+    @pytest.mark.parametrize("s", [7, 4, 0, -3])
+    def test_check_strength_rejects_s_outside_1_to_t(self, octahedron, s):
+        # verify_design(octahedron, 7) fails, so a silent return would lie
+        with pytest.raises(ValueError, match=r"s must lie in 1\.\.3"):
+            check_strength(octahedron, s)
+        check_strength(octahedron, 1)
+        check_strength(octahedron, 3)
 
     def test_residuals_computed_once_per_design(self, fake_5_design,
                                                 monkeypatch):
