@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import (DesignStrengthError, PovmAssignment,
+from .designs import (DesignStrengthError, PovmAssignment, check_strength,
                       outcome_probability_batch)
 from .entropy import renyi_entropies
 from .quantum import (complete_homogeneous, density_spectra, power_sums,
@@ -90,12 +90,15 @@ def beta_range(n: int, d: int, s: int) -> tuple[float, float]:
 
 
 def check_order(assignment: PovmAssignment, s: int) -> None:
-    """Reject an index order s outside 2..t, t the design strength."""
+    """Reject an index order s outside 2..t, t the design strength, and a
+    design that is not an s-design (check_strength): every bound at order s
+    assumes one."""
     strength = assignment.design.strength
     if s > strength:
         raise ValueError(f"s={s} exceeds the design strength {strength}")
     if s < 2:
         raise ValueError("s must be >= 2")
+    check_strength(assignment.design, s)
 
 
 def _check_index_identity(assignment: PovmAssignment, beta_m, beta_n,
@@ -206,7 +209,7 @@ def landau_pollak_cap(assignment: PovmAssignment, rho, s: int
                       ) -> tuple[float, float]:
     """(actual average max-probability, upper cap Y(n, s, beta_n)): the
     view of audit_state with no alphas, so the claimed strength is checked
-    on rho as in every audit."""
+    as in every audit."""
     batch = audit_state(assignment, rho, (), s)
     return float(batch.max_prob_actual[0]), float(batch.max_prob_cap[0])
 
@@ -216,16 +219,16 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     """Evaluate actual entropies and every bound for a stack of states.
 
     rhos is (N, d, d); alphas may contain floats >= s and math.inf; s
-    defaults to the design strength and must lie in 2..t (check_order).
-    Every state must be a density matrix (ValueError otherwise); the
-    batched eigvalsh that checks positivity gives the power sums, hence
-    beta_n, beta and the purity, one contraction every outcome
-    probability.  The index-of-coincidence identity is checked against
-    those probabilities, which verifies the claimed strength on every
-    state.  One array root solve on beta_n and the per-POVM sums beta_m
-    together gives Y(beta_n), which serves bound_prop1, bound_prop2 at
-    every alpha, the Landau-Pollak cap and the saturation test, and the
-    Jensen terms Y(beta_m).
+    defaults to the design strength, must lie in 2..t, and the design must
+    be an s-design by its frame potential (check_order).  Every state must
+    be a density matrix (ValueError otherwise); the batched eigvalsh that
+    checks positivity gives the power sums, hence beta_n, beta and the
+    purity, one contraction every outcome probability.  The
+    index-of-coincidence identity is checked against those probabilities
+    on every state as well.  One array root solve on beta_n and the
+    per-POVM sums beta_m together gives Y(beta_n), which serves
+    bound_prop1, bound_prop2 at every alpha, the Landau-Pollak cap and the
+    saturation test, and the Jensen terms Y(beta_m).
     """
     design = assignment.design
     t = design.strength if s is None else s

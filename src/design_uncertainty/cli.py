@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import audit_states, beta_range, bound_curves, check_order
-from .designs import (BUILTINS, AssignmentError, DesignLoadError, _is_int,
-                      assign_povms, builtin_design, check_strength,
+from .designs import (BUILTINS, AssignmentError, DesignLoadError,
+                      _complex_entries, _is_int, assign_povms, builtin_design,
                       load_design, mub_grouping, verify_design)
 from .quantum import maximally_mixed, random_densities
 from .steering import (matched_alice_povms, steering_check_maxprob,
@@ -61,8 +61,7 @@ def _load_bipartite_state(path):
         if not all(_is_int(x) and x >= 1 for x in (da, db)):
             raise ValueError(f"dims must be two integers >= 1, "
                              f"got {raw['dims']}")
-        # [re, im] pairs to complex entries; any other last axis is a ValueError
-        mat = np.asarray(raw["matrix"], dtype=float) @ np.array([1.0, 1j])
+        mat = _complex_entries(raw["matrix"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     return mat, (da, db)
@@ -71,9 +70,9 @@ def _load_bipartite_state(path):
 def cmd_verify(args) -> int:
     design = _get_design(args.design)
     t = args.t if args.t is not None else design.strength
-    report = verify_design(design, t, tol=args.tol, method=args.method)
+    report = verify_design(design, t, tol=args.tol)
     print(f"design: {args.design}  d={design.dimension}  K={design.size}")
-    print(f"method: {report.method}  tol: {_fmt(report.tol)}")
+    print(f"method: frame  tol: {_fmt(report.tol)}")
     for s, r in sorted(report.residuals.items()):
         print(f"  s={s}  residual={_fmt(r)}")
     print("PASS" if report.passes else "FAIL")
@@ -85,9 +84,8 @@ def cmd_sweep(args) -> int:
     assignment = _get_assignment(design, args.grouping)
     n, d = assignment.n_outcomes, design.dimension
     s = args.s if args.s is not None else design.strength
+    # every tabulated bound assumes an s-design
     check_order(assignment, s)
-    # every tabulated bound assumes an s-design; no state is audited here
-    check_strength(design, s)
     lo, hi = beta_range(n, d, s)
     grid = np.linspace(lo, hi, args.points)
     # alpha = inf is bound_prop1's column; -inf and NaN fail bound_curves
@@ -177,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True, help="builtin name or JSON path")
     p.add_argument("--t", type=int, default=None, help="strength to check")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--method", choices=("frame", "operator"), default="frame")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="tabulate bounds over the beta interval")

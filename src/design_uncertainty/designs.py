@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import bloch_to_state, sym_dim_inv, sym_projector, tensor_power
+from .quantum import bloch_to_state, sym_dim_inv
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # verify_design's default tolerance, which check_strength applies
@@ -34,6 +34,24 @@ class DesignStrengthError(ValueError):
 def _is_int(x) -> bool:
     """Whether x is an integer and not a bool: 3.0 and True are not."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _complex_entries(raw) -> np.ndarray:
+    """Nested lists of [re, im] pairs, as read from JSON, to an array of
+    complex entries.  Every re and im must be a JSON number, an int or a
+    float: a bool, string or null raises ValueError, as does a last axis
+    that is not a pair."""
+    stack = [raw]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(reversed(x))
+        elif not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise ValueError(f"entry {x!r} is not a number")
+    try:
+        return np.asarray(raw, dtype=float) @ np.array([1.0, 1j])
+    except OverflowError as exc:    # an int beyond the float range
+        raise ValueError(str(exc)) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +99,6 @@ class VerificationReport:
     passes: bool
     strength: int
     tol: float
-    method: str
     residuals: dict[int, float]  # s -> residual for s = 1..t
 
 
@@ -195,8 +212,7 @@ def load_design(path) -> QuantumDesign:
     except (OSError, json.JSONDecodeError) as exc:
         raise DesignLoadError(f"cannot read design file {path}: {exc}") from exc
     try:
-        # [re, im] pairs to complex entries; any other last axis is a ValueError
-        vectors = np.asarray(raw["vectors"], dtype=float) @ np.array([1.0, 1j])
+        vectors = _complex_entries(raw["vectors"])
         return QuantumDesign(dimension=raw["dimension"],
                              strength=raw["strength"], vectors=vectors)
     except KeyError as exc:
@@ -220,37 +236,23 @@ def _frame_residuals(design: QuantumDesign, t: int) -> dict[int, float]:
             for s in range(1, t + 1)}
 
 
-def verify_design(design: QuantumDesign, t: int, tol: float = FRAME_TOL,
-                  method: str = "frame") -> VerificationReport:
-    """Check the design property at strength t.
-
-    "frame" compares frame potentials against sym_dim_inv for s = 1..t;
-    "operator" compares (1/K) sum |phi><phi|^{otimes s} against
-    sym_dim_inv(d, s) * P_sym^(s) in max-abs norm.  ValueError for t < 1
-    and for a tol that is not finite and >= 0.
+def verify_design(design: QuantumDesign, t: int,
+                  tol: float = FRAME_TOL) -> VerificationReport:
+    """Check the design property at strength t: the frame potential against
+    sym_dim_inv for s = 1..t.  The residual FP_s - 1/D_s is the squared
+    Hilbert-Schmidt distance of (1/K) sum |phi><phi|^{otimes s} from
+    P_sym^(s) / D_s, D_s = binom(d+s-1, s), so it is 0 exactly for an
+    s-design.  ValueError for t < 1 and for a tol that is not finite and
+    >= 0.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    d = design.dimension
-    if method == "frame":
-        residuals = _frame_residuals(design, t)
-    elif method == "operator":
-        residuals = {}
-        for s in range(1, t + 1):
-            avg = np.zeros((d**s, d**s), dtype=complex)
-            for v in design.vectors:
-                vs = tensor_power(v, s)
-                avg += np.outer(vs, vs.conj())
-            avg /= design.size
-            target = sym_dim_inv(d, s) * sym_projector(d, s)
-            residuals[s] = float(np.max(np.abs(avg - target)))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    residuals = _frame_residuals(design, t)
     passes = all(r <= tol for r in residuals.values())
     return VerificationReport(passes=passes, strength=t, tol=tol,
-                              method=method, residuals=residuals)
+                              residuals=residuals)
 
 
 def check_strength(design: QuantumDesign, s: int) -> None:

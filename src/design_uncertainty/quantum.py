@@ -1,6 +1,5 @@
-"""Complex linear-algebra substrate: states, density matrices, tensor powers,
-partial traces, symmetric projectors, symmetric moments and seeded random
-sampling.
+"""Complex linear-algebra substrate: states, density matrices, partial
+traces, power sums, symmetric moments and seeded random sampling.
 
 Everything here is a pure function of its inputs.  States are plain complex
 numpy vectors, density matrices are plain complex numpy arrays; validators
@@ -9,17 +8,9 @@ enforce the physical invariants at the boundaries.
 
 from __future__ import annotations
 
-import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
-
-# Size guard for anything living on (C^d)^{otimes t}.
-MAX_TENSOR_DIM = 4096
-# sym_projector keeps at most SYM_CACHE_SIZE projectors of d^t <= SYM_CACHE_DIM
-SYM_CACHE_DIM = 256
-SYM_CACHE_SIZE = 16
 
 NORM_ATOL = 1e-12
 PSD_ATOL = 1e-10
@@ -98,55 +89,6 @@ def fix_global_phase(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
-
-
-def sym_projector(d: int, t: int) -> np.ndarray:
-    """Projector onto the symmetric subspace of (C^d)^{otimes t}, built as the
-    average of all t! tensor-factor permutation operators.
-
-    Projectors with d^t <= SYM_CACHE_DIM (1 MiB each) are cached, at most
-    SYM_CACHE_SIZE of them, and read-only, since every caller shares them;
-    larger ones are built fresh on each call and freed with their caller's
-    last reference."""
-    if d < 2 or t < 1:
-        raise ValueError("need d >= 2 and t >= 1")
-    if d**t <= SYM_CACHE_DIM:
-        return _cached_sym_projector(d, t)
-    return _build_sym_projector(d, t)
-
-
-def _build_sym_projector(d: int, t: int) -> np.ndarray:
-    dim = d**t
-    if dim > MAX_TENSOR_DIM:
-        raise ValueError(f"d^t = {dim} exceeds the supported size {MAX_TENSOR_DIM}")
-    # basis index k <-> digit string (i_1 .. i_t) base d
-    digits = np.array(list(itertools.product(range(d), repeat=t)))  # (dim, t)
-    weights = d ** np.arange(t - 1, -1, -1)
-    proj = np.zeros((dim, dim))
-    for sigma in itertools.permutations(range(t)):
-        permuted = digits[:, list(sigma)] @ weights
-        proj[permuted, np.arange(dim)] += 1.0
-    proj /= math.factorial(t)
-    return proj.astype(complex)
-
-
-@lru_cache(maxsize=SYM_CACHE_SIZE)
-def _cached_sym_projector(d: int, t: int) -> np.ndarray:
-    proj = _build_sym_projector(d, t)
-    proj.setflags(write=False)
-    return proj
-
-
-def tensor_power(rho, t: int) -> np.ndarray:
-    """rho^{otimes t} as a dense d^t x d^t matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    if d**t > MAX_TENSOR_DIM:
-        raise ValueError(f"d^t = {d**t} exceeds the supported size {MAX_TENSOR_DIM}")
-    out = rho
-    for _ in range(t - 1):
-        out = np.kron(out, rho)
-    return out
 
 
 def partial_trace(rho_ab, dims, keep: str) -> np.ndarray:

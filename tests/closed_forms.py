@@ -6,19 +6,24 @@ uses), and a scalar float Newton iteration in y kept as a per-query
 reference for the array solver.  For the bounds and moments: the
 closed-form min-entropy bound of the three qubit MUBs, the explicit
 tensor-projector contraction of the symmetric moment and the index-of-
-coincidence parameters built on it.  Also the pure test states the package
-does not build.
+coincidence parameters built on it.  For design verification: the dense
+symmetric projector and the operator distance the frame potential
+measures.  Also the pure test states the package does not build.
 """
 
 import cmath
+import itertools
 import math
 
 import mpmath
 import numpy as np
 
 from design_uncertainty import UncertifiedRootError, UpsilonResult
-from design_uncertainty.quantum import sym_projector, tensor_power
+from design_uncertainty.quantum import sym_dim_inv
 from design_uncertainty.upsilon import MAX_ITER, admissible_range
+
+# Size guard for the dense operators on (C^d)^{otimes t}.
+MAX_TENSOR_DIM = 4096
 
 
 def _clamped(n, t, beta):
@@ -161,9 +166,54 @@ def mub_min_bound(purity: float) -> float:
     return math.log(2.0 * math.sqrt(3.0) / (math.sqrt(3.0) + root))
 
 
+def _check_tensor_dim(d: int, t: int) -> None:
+    if d**t > MAX_TENSOR_DIM:
+        raise ValueError(f"d^t = {d**t} exceeds the supported size "
+                         f"{MAX_TENSOR_DIM}")
+
+
+def sym_projector(d: int, t: int) -> np.ndarray:
+    """Projector onto the symmetric subspace of (C^d)^{otimes t}, built as
+    the average of all t! tensor-factor permutation operators."""
+    if d < 2 or t < 1:
+        raise ValueError("need d >= 2 and t >= 1")
+    _check_tensor_dim(d, t)
+    dim = d**t
+    # basis index k <-> digit string (i_1 .. i_t) base d
+    digits = np.array(list(itertools.product(range(d), repeat=t)))  # (dim, t)
+    weights = d ** np.arange(t - 1, -1, -1)
+    proj = np.zeros((dim, dim))
+    for sigma in itertools.permutations(range(t)):
+        permuted = digits[:, list(sigma)] @ weights
+        proj[permuted, np.arange(dim)] += 1.0
+    proj /= math.factorial(t)
+    return proj.astype(complex)
+
+
+def tensor_power(x, t: int) -> np.ndarray:
+    """x^{otimes t} of a vector or a square matrix, as a dense array."""
+    x = np.asarray(x, dtype=complex)
+    _check_tensor_dim(x.shape[0], t)
+    out = x
+    for _ in range(t - 1):
+        out = np.kron(out, x)
+    return out
+
+
+def operator_residual(design, s: int) -> tuple[float, float]:
+    """(||A_s - P_sym/D_s||_HS^2, max-abs entry of A_s - P_sym/D_s) for
+    A_s = (1/K) sum |phi><phi|^{otimes s} and D_s = binom(d+s-1, s): the
+    distance the frame potential measures as FP_s - 1/D_s, built densely."""
+    vs = np.stack([tensor_power(v, s) for v in design.vectors])
+    avg = vs.T @ vs.conj() / design.size
+    diff = avg - sym_dim_inv(design.dimension, s) \
+        * sym_projector(design.dimension, s)
+    return float(np.sum(np.abs(diff) ** 2)), float(np.max(np.abs(diff)))
+
+
 def sym_moment_direct(rho, s: int) -> float:
     """Explicit contraction tr(rho^{otimes s} P_sym^(s)), s >= 1 and
-    d^s within the package's tensor size guard."""
+    d^s within the tensor size guard."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     rho = np.asarray(rho, dtype=complex)

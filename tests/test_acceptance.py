@@ -42,13 +42,12 @@ def test_01_design_verification():
     t0 = time.perf_counter()
     for name, t in BUILTINS:
         design = builtin_design(name)
-        for method in ("frame", "operator"):
-            assert verify_design(design, t, tol=1e-10, method=method).passes
-    rep = verify_design(builtin_design("octahedron"), 4, method="frame")
+        assert verify_design(design, t, tol=1e-10).passes
+    rep = verify_design(builtin_design("octahedron"), 4)
     assert not rep.passes
     assert rep.residuals[4] == pytest.approx(1 / 120, abs=1e-12)
     assert time.perf_counter() - t0 < 5.0
-    report(1, "design verification (both methods, t+1 failure)", t0)
+    report(1, "design verification (t+1 failure)", t0)
 
 
 def test_02_moment_oracle_equivalence():

@@ -43,10 +43,6 @@ class TestVerify:
         assert "FAIL" in out
         assert "0.00833333333333" in out  # 1/120 frame residual
 
-    def test_operator_method(self):
-        assert main(["verify", "--design", "icosahedron", "--t", "5",
-                     "--method", "operator"]) == 0
-
     def test_missing_file_exit_2(self, capsys):
         assert main(["verify", "--design", "no_such.json"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -58,6 +54,21 @@ class TestVerify:
                                                [[1.0, 0.0], [1.0, 0.0]]]}))
         assert main(["verify", "--design", str(bad), "--t", "2"]) == 2
         assert "vector" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", [[True, False], ["1", 0]])
+    def test_non_number_entry_exit_2(self, octahedron, tmp_path, capsys,
+                                     pair):
+        # vector 0 is (1, 0), so each pair would pass as the octahedron
+        path = tmp_path / "design.json"
+        save_design(octahedron, path)
+        raw = json.loads(path.read_text())
+        raw["vectors"][0][0] = pair
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--design", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: design file {path}: entry {pair[0]!r} is not a " \
+            f"number" in captured.err
 
     def test_saved_design_round_trip(self, tmp_path, octahedron):
         path = tmp_path / "oct.json"
@@ -213,7 +224,14 @@ class TestSteering:
     @pytest.mark.parametrize("payload", [
         {"dims": [2, 2], "matrix": [[[1.0, 0.0], 0.0, [0.0, 0.0], [0.0, 0.0]]]
          + [[[0.0, 0.0]] * 4] * 3},                  # a number for a pair
-        {"dims": 2, "matrix": [[[0.25, 0.0]] * 4] * 4}])
+        {"dims": 2, "matrix": [[[0.25, 0.0]] * 4] * 4},
+        # I/4 with entry (0, 0) as a string and a bool, and with a null
+        {"dims": [2, 2], "matrix": [[["0.25", False]] + [[0.0, 0.0]] * 3]
+         + [[[0.0, 0.0]] * i + [[0.25, 0.0]] + [[0.0, 0.0]] * (3 - i)
+            for i in (1, 2, 3)]},
+        {"dims": [2, 2], "matrix": [[[0.25, None]] + [[0.0, 0.0]] * 3]
+         + [[[0.0, 0.0]] * i + [[0.25, 0.0]] + [[0.0, 0.0]] * (3 - i)
+            for i in (1, 2, 3)]}])
     def test_malformed_state_file_exit_2(self, tmp_path, capsys, payload):
         state = tmp_path / "bad.json"
         state.write_text(json.dumps(payload))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from closed_forms import pure_density, random_pure_state
+from closed_forms import operator_residual, pure_density, random_pure_state
 
 from design_uncertainty import (AssignmentError, DesignLoadError,
                                 QuantumDesign, assign_povms, builtin_design,
@@ -129,15 +129,16 @@ class TestVerifyDesign:
     @pytest.mark.parametrize("name", ["octahedron", "icosahedron",
                                       "icosidodecahedron"])
     def test_methods_agree(self, name):
+        # the frame potential and the dense operator give the same residual:
+        # ||A_s - P_sym/D_s||_HS^2 = FP_s - 1/D_s, since tr A_s P_sym = 1
+        # and tr P_sym = D_s; zero through t and positive at t + 1
         design = builtin_design(name)
-        for t in (design.strength, design.strength + 1):
-            frame = verify_design(design, t, tol=1e-9, method="frame")
-            oper = verify_design(design, t, tol=1e-9, method="operator")
-            assert frame.passes == oper.passes
-
-    def test_unknown_method(self, octahedron):
-        with pytest.raises(ValueError):
-            verify_design(octahedron, 3, method="magic")
+        for s in range(1, design.strength + 2):
+            hs2, max_abs = operator_residual(design, s)
+            gap = frame_potential(design, s) - sym_dim_inv(2, s)
+            assert abs(hs2 - gap) <= 1e-12
+            assert max_abs <= math.sqrt(hs2) + 1e-15
+        assert hs2 > 1e-6
 
 
 class TestDesignIO:
@@ -187,6 +188,22 @@ class TestDesignIO:
         raw[field] = value
         path.write_text(json.dumps(raw))
         with pytest.raises(DesignLoadError, match=f"{field} must be an integer"):
+            load_design(path)
+
+    @pytest.mark.parametrize("pair, match", [
+        ([True, False], "True is not a number"),
+        (["1", 0], "'1' is not a number"),
+        ([1, None], "None is not a number"),
+        ([10**400, 0], "too large")], ids=["bool", "str", "null", "1e400"])
+    def test_rejects_non_number_entry(self, octahedron, tmp_path, pair,
+                                      match):
+        # vector 0 is (1, 0), so the first two would load as the octahedron
+        path = tmp_path / "bad.json"
+        save_design(octahedron, path)
+        raw = json.loads(path.read_text())
+        raw["vectors"][0][0] = pair
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DesignLoadError, match=match):
             load_design(path)
 
     def test_rejects_k_less_than_d(self, tmp_path):

@@ -22,7 +22,7 @@ from design_uncertainty import (DesignStrengthError, QuantumDesign,
                                 steering_check_maxprob, steering_check_renyi,
                                 upsilon, upsilon_array, verify_design)
 from design_uncertainty import designs
-
+from design_uncertainty.bounds import _check_index_identity
 from design_uncertainty.cli import main
 from design_uncertainty.quantum import maximally_mixed
 
@@ -42,8 +42,10 @@ class TestDesignStrengthError:
 
     def test_false_strength_detected(self, fake_5_design, rng):
         single = assign_povms(fake_5_design, "single")
-        # the identity holds on the maximally mixed state for any strength
-        audit_state(single, maximally_mixed(2), (), 5)
+        # the frame potential rejects the claim before any state is read;
+        # the index identity alone holds on I/2 for any strength
+        with pytest.raises(DesignStrengthError, match="not a 5-design"):
+            audit_state(single, maximally_mixed(2), (), 5)
         rho = random_density(2, rng)
         with pytest.raises(DesignStrengthError, match="not a 5-design"):
             audit_state(single, rho, (), 5)
@@ -58,8 +60,30 @@ class TestDesignStrengthError:
         assert main(["audit", "--design", str(path), "--samples", "5"]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
-        assert "identity violated" in captured.err
+        assert "frame-potential residual" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_index_identity_message(self, fake_5_design):
+        # the per-state guard behind the frame gate, called directly
+        single = assign_povms(fake_5_design, "single")
+        _check_index_identity(single, np.array([[0.25]]), np.array([0.25]), 5)
+        with pytest.raises(DesignStrengthError,
+                           match="identity violated.*not a 5-design"):
+            _check_index_identity(single, np.array([[0.25]]),
+                                  np.array([0.5]), 5)
+
+    @pytest.mark.parametrize("strength", [21, 1023])
+    def test_high_claimed_strength_exit_2(self, octahedron, tmp_path, capsys,
+                                          strength):
+        # sum p_j^t < 1e-10 from t = 21, below the index identity's
+        # absolute tolerance; 2^t overflows a float from t = 1023
+        path = tmp_path / "fake.json"
+        save_design(QuantumDesign(dimension=2, strength=strength,
+                                  vectors=octahedron.vectors), path)
+        assert main(["audit", "--design", str(path), "--samples", "200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: the design is not a {strength}-design" in captured.err
 
     def test_strength_above_5_is_checked(self, octahedron, tmp_path, capsys):
         # orders above 5 reach the index-of-coincidence check

