@@ -30,11 +30,10 @@ import numpy as np
 
 from .designs import (DesignStrengthError, PovmAssignment, check_strength,
                       outcome_probability_batch)
-from .entropy import renyi_entropies
+from .entropy import _check_distributions, _finite_renyi, _floored
 from .quantum import (complete_homogeneous, density_spectra, power_sums,
                       sym_dim_inv)
-from .upsilon import (_check_queries, upsilon, upsilon_array, upsilon_nr1,
-                      upsilon_nr1_array)
+from .upsilon import _check_queries, _nr1, _roots, upsilon, upsilon_nr1
 
 SAT_ATOL = 1e-9
 
@@ -180,10 +179,11 @@ def bound_curves(n: int, t: int, betas, alphas) -> BoundCurves:
     for alpha in alphas:
         _check_alpha(t, alpha)
     betas = np.asarray(betas, dtype=float)
-    y = upsilon_array(n, t, betas).value
+    checked = _check_queries(n, t, betas)
+    y = _roots(n, t, checked).value
     return BoundCurves(
         bound_prior=_prior(t, betas, math.inf), bound_prop1=-np.log(y),
-        bound_prop1_nr=-np.log(upsilon_nr1_array(n, t, betas)),
+        bound_prop1_nr=-np.log(_nr1(n, t, checked)),
         bound_prop2=tuple(_prop2(t, alpha, betas, y) for alpha in alphas))
 
 
@@ -228,7 +228,10 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     on every state as well.  One array root solve on beta_n and the
     per-POVM sums beta_m together gives Y(beta_n), which serves
     bound_prop1, bound_prop2 at every alpha, the Landau-Pollak cap and the
-    saturation test, and the Jensen terms Y(beta_m).
+    saturation test, and the Jensen terms Y(beta_m).  The probabilities
+    are checked as distributions once (as renyi_entropies checks them),
+    and their row maxima, taken once, give the min-entropy, the
+    alpha = inf column and the average maximal probability.
     """
     design = assignment.design
     t = design.strength if s is None else s
@@ -247,26 +250,32 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     beta_m = np.sum(probs**t, axis=-1)                         # (N, M)
     _check_index_identity(assignment, beta_m, bn, t)
 
-    y_all = upsilon_array(n, t, np.concatenate([bn, beta_m.ravel()])).value
+    queries = _check_queries(n, t, np.concatenate([bn, beta_m.ravel()]))
+    y_all = _roots(n, t, queries).value
     y, y_m = y_all[:len(bn)], y_all[len(bn):].reshape(beta_m.shape)
     prop1 = -np.log(y)
+
+    probs = _check_distributions(probs)
+    max_prob = probs.max(axis=-1)                              # (N, M)
+    min_ent = np.mean(-np.log(max_prob), axis=-1)
+    floored = _floored(probs)
 
     def per_alpha(column) -> np.ndarray:
         cols = [column(alpha) for alpha in alphas]
         return np.stack(cols, axis=-1) if cols else np.empty((len(bn), 0))
 
-    actual = per_alpha(lambda a: np.mean(renyi_entropies(probs, a), axis=-1))
+    actual = per_alpha(lambda a: min_ent if math.isinf(a) else
+                       np.mean(_finite_renyi(floored, a), axis=-1))
     prior = per_alpha(lambda a: _prior(t, bn, a))
     prop2 = per_alpha(lambda a: _prop2(t, a, bn, y))
-    min_ent = np.mean(renyi_entropies(probs, math.inf), axis=-1)
     return AuditBatch(
         dimension=design.dimension, design_size=design.size, n_outcomes=n,
         n_povms=assignment.n_povms, order=t, alphas=alphas,
         beta_n=bn, beta=bk, beta_m=beta_m, purity=p[:, 1],
         actual=actual, bound_prior=prior, bound_prop1=prop1,
-        bound_prop1_nr=-np.log(upsilon_nr1_array(n, t, bn)),
+        bound_prop1_nr=-np.log(_nr1(n, t, queries[:len(bn)])),
         bound_prop2=prop2,
-        max_prob_actual=np.mean(probs.max(axis=-1), axis=-1),
+        max_prob_actual=np.mean(max_prob, axis=-1),
         max_prob_cap=y,
         jensen_ok=np.mean(y_m, axis=-1) <= y + 1e-10,
         saturated=np.abs(min_ent - prop1) < SAT_ATOL)

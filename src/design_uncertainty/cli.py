@@ -29,6 +29,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv_body(table: np.ndarray) -> str:
+    """The rows of a 2-d table as CSV lines, each cell as _fmt gives it,
+    from one %-template for the whole table."""
+    rows, cols = table.shape
+    template = (",".join(["%.12g"] * cols) + "\n") * rows
+    return template % tuple(table.ravel().tolist())
+
+
 def _get_design(source: str):
     if source in BUILTINS:
         return builtin_design(source)
@@ -36,12 +44,23 @@ def _get_design(source: str):
 
 
 def _get_assignment(design, grouping: str):
-    if grouping == "single":
-        return assign_povms(design, "single")
-    if grouping == "mub":
-        return assign_povms(design, mub_grouping())
-    with open(grouping) as fh:
-        return assign_povms(design, json.load(fh))
+    if grouping in ("single", "mub"):
+        return _named_assignment(design, grouping)
+    try:
+        with open(grouping) as fh:
+            raw = json.load(fh)
+    except RecursionError as exc:
+        raise AssignmentError(f"cannot read grouping file {grouping}: "
+                              f"{exc}") from exc
+    return assign_povms(design, raw)
+
+
+@functools.lru_cache(maxsize=2 * len(BUILTINS))
+def _named_assignment(design, grouping: str):
+    """The 'single' or 'mub' assignment of a design, built once per design
+    object and grouping: a built-in design is one object per process."""
+    return assign_povms(design, "single" if grouping == "single"
+                        else mub_grouping())
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -54,8 +73,11 @@ def _parse_alphas(text: str) -> list[float]:
 
 
 def _load_bipartite_state(path):
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except RecursionError as exc:
+        raise ValueError(f"malformed state file {path}: {exc}") from exc
     try:
         da, db = raw["dims"]
         if not all(_is_int(x) and x >= 1 for x in (da, db)):
@@ -101,17 +123,13 @@ def cmd_sweep(args) -> int:
         print(f"bound ordering violated at beta_bar={grid[bad[0]]}",
               file=sys.stderr)
         return 1
-    rows = np.column_stack([grid, prior, prop1, nr,
-                            *curves.bound_prop2]).tolist()
+    table = np.column_stack([grid, prior, prop1, nr, *curves.bound_prop2])
 
     if args.format == "csv":
-        # one %-template per row formats every cell as _fmt does
-        template = ",".join(["%.12g"] * len(header))
-        lines = [",".join(header)]
-        lines += [template % tuple(row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = ",".join(header) + "\n" + _csv_body(table)
     else:
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=1)
+        text = json.dumps([dict(zip(header, row)) for row in table.tolist()],
+                          indent=1)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

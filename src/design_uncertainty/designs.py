@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,9 @@ class QuantumDesign:
     dimension: int
     strength: int
     vectors: np.ndarray  # (K, d) complex, rows unit norm
+    # frame_residual's cache, by order s
+    _residuals: dict[int, float] = field(default_factory=dict, init=False,
+                                         repr=False)
 
     def __post_init__(self):
         for name in ("dimension", "strength"):
@@ -87,11 +90,13 @@ class QuantumDesign:
     def size(self) -> int:
         return self.vectors.shape[0]
 
-    @functools.cached_property
-    def frame_residuals(self) -> tuple[float, ...]:
-        """The frame-potential residuals of verify_design at s = 1..strength,
-        computed once per design object."""
-        return tuple(_frame_residuals(self, self.strength).values())
+    def frame_residual(self, s: int) -> float:
+        """verify_design's frame-potential residual |FP_s - 1/D_s| at order
+        s, computed once per order and design object."""
+        if s not in self._residuals:
+            self._residuals[s] = abs(frame_potential(self, s)
+                                     - sym_dim_inv(self.dimension, s))
+        return self._residuals[s]
 
 
 @dataclass(frozen=True)
@@ -209,7 +214,7 @@ def load_design(path) -> QuantumDesign:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise DesignLoadError(f"cannot read design file {path}: {exc}") from exc
     try:
         vectors = _complex_entries(raw["vectors"])
@@ -230,12 +235,6 @@ def frame_potential(design: QuantumDesign, s: int) -> float:
     return float(np.mean(overlaps**s))
 
 
-def _frame_residuals(design: QuantumDesign, t: int) -> dict[int, float]:
-    d = design.dimension
-    return {s: abs(frame_potential(design, s) - sym_dim_inv(d, s))
-            for s in range(1, t + 1)}
-
-
 def verify_design(design: QuantumDesign, t: int,
                   tol: float = FRAME_TOL) -> VerificationReport:
     """Check the design property at strength t: the frame potential against
@@ -249,7 +248,7 @@ def verify_design(design: QuantumDesign, t: int,
         raise ValueError(f"t must be >= 1, got {t}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    residuals = _frame_residuals(design, t)
+    residuals = {s: design.frame_residual(s) for s in range(1, t + 1)}
     passes = all(r <= tol for r in residuals.values())
     return VerificationReport(passes=passes, strength=t, tol=tol,
                               residuals=residuals)
@@ -257,13 +256,15 @@ def verify_design(design: QuantumDesign, t: int,
 
 def check_strength(design: QuantumDesign, s: int) -> None:
     """Raise DesignStrengthError unless the design passes verify_design's
-    frame test at every order up to s, at tolerance FRAME_TOL; reads the
-    design's cached frame_residuals.  ValueError for s outside 1..t, t its
+    frame test at every order up to s, at tolerance FRAME_TOL.  The orders
+    are read in turn from the design's cached frame_residual, and the first
+    failing order ends the check.  ValueError for s outside 1..t, t its
     claimed strength."""
     if not 1 <= s <= design.strength:
         raise ValueError(f"s must lie in 1..{design.strength}, the claimed "
                          f"strength, got {s}")
-    for k, r in enumerate(design.frame_residuals[:s], start=1):
+    for k in range(1, s + 1):
+        r = design.frame_residual(k)
         if not r <= FRAME_TOL:
             raise DesignStrengthError(
                 f"the design is not a {s}-design: frame-potential residual "

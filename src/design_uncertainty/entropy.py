@@ -25,15 +25,31 @@ def renyi_entropies(p, alpha) -> np.ndarray:
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    p = _floored(_check_distributions(p))
+    if math.isinf(alpha):
+        return -np.log(np.max(p, axis=-1))
+    return _finite_renyi(p, alpha)
+
+
+def _check_distributions(p) -> np.ndarray:
+    """p as a float array; ValueError unless every distribution along its
+    last axis is non-negative and sums to 1 within 1e-10."""
     p = np.asarray(p, dtype=float)
     # each test is written so that NaN fails it; an empty stack passes
     if not p.min(initial=math.inf) >= -1e-10:
         raise ValueError("negative or NaN probability")
     if not np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0) <= 1e-10:
         raise ValueError("probabilities do not sum to 1")
-    p = np.where(p < PROB_FLOOR, 0.0, p)
-    if math.isinf(alpha):
-        return -np.log(np.max(p, axis=-1))
+    return p
+
+
+def _floored(p) -> np.ndarray:
+    """p with the entries below PROB_FLOOR set to exact zeros."""
+    return np.where(p < PROB_FLOOR, 0.0, p)
+
+
+def _finite_renyi(p, alpha) -> np.ndarray:
+    """renyi_entropies at a finite alpha > 0 of checked, floored p."""
     if alpha == 1:
         nz = p > 0
         return -np.sum(p * np.log(np.where(nz, p, 1.0)), axis=-1)
@@ -55,7 +71,7 @@ def conditional_renyi_arimoto(joint, alpha) -> float:
         raise ValueError("joint distribution must be a 2d matrix p[x, z]")
     if not joint.min() >= -1e-10:
         raise ValueError("negative or NaN probability")
-    joint = np.where(joint < PROB_FLOOR, 0.0, joint)
+    joint = _floored(joint)
     pz = joint.sum(axis=0)
     total = pz.sum()
     if abs(total - 1.0) > 1e-10:

@@ -84,8 +84,13 @@ def upsilon_array(n: int, t: int, betas) -> UpsilonResult:
     excess variables, element-wise.  An element whose iterate stops
     decreasing keeps its last iterate, from which every later step is the
     same, so the loop runs until no element moves."""
-    betas = np.asarray(betas, dtype=float)
-    beta = _check_queries(n, t, betas).ravel()
+    return _roots(n, t, _check_queries(n, t, betas))
+
+
+def _roots(n: int, t: int, checked) -> UpsilonResult:
+    """upsilon_array on beta that _check_queries has already checked."""
+    shape = checked.shape
+    beta = checked.ravel()
     lo, _ = admissible_range(n, t)
     c = float(n - 1) ** (t - 1)
     ceiling = beta >= 1.0 - 1e-15
@@ -107,7 +112,7 @@ def upsilon_array(n: int, t: int, betas) -> UpsilonResult:
         if not down.any():
             break
         moves += down
-        d = np.where(down, dnew, d)
+        d = np.minimum(d, dnew)
     y_out[idx] = 1.0 / n + d
     iters[idx] = np.minimum(moves + 1, MAX_ITER)
 
@@ -120,7 +125,6 @@ def upsilon_array(n: int, t: int, betas) -> UpsilonResult:
         raise UncertifiedRootError(
             f"Newton failed to converge: n={n}, t={t}, beta={beta[worst]}, "
             f"residual={res[worst]}")
-    shape = betas.shape
     return UpsilonResult(y_out.reshape(shape), res.reshape(shape),
                          iters.reshape(shape))
 
@@ -140,7 +144,11 @@ def upsilon_nr1(n: int, t: int, beta: float) -> float:
 
 def upsilon_nr1_array(n: int, t: int, betas) -> np.ndarray:
     """upsilon_nr1 for an array of beta."""
-    beta = _check_queries(n, t, betas)
+    return _nr1(n, t, _check_queries(n, t, betas))
+
+
+def _nr1(n: int, t: int, beta) -> np.ndarray:
+    """upsilon_nr1_array on beta that _check_queries has already checked."""
     r = beta ** (1.0 / t)
     denom = t * (n - 1.0) ** (t - 1) * beta ** (1.0 - 1.0 / t) \
         - t * (1.0 - r) ** (t - 1)

@@ -17,13 +17,15 @@ from design_uncertainty import (assign_povms, audit_state, audit_states,
                                 bound_prop1_nr, bound_prop2, builtin_design,
                                 mub_grouping, random_density, renyi_entropies,
                                 upsilon, upsilon_array)
-from design_uncertainty.bounds import SAT_ATOL, beta_range
+from design_uncertainty.bounds import SAT_ATOL, _prior, _prop2, beta_range
 from design_uncertainty.cli import main
 from design_uncertainty.designs import (all_outcome_probabilities,
                                         outcome_probabilities,
                                         outcome_probability_batch)
 from design_uncertainty.entropy import renyi_entropy
-from design_uncertainty.quantum import maximally_mixed
+from design_uncertainty.quantum import (complete_homogeneous,
+                                        density_spectra, maximally_mixed,
+                                        power_sums, sym_dim_inv)
 from design_uncertainty.upsilon import (MAX_ITER, admissible_range,
                                         upsilon_nr1, upsilon_nr1_array)
 
@@ -311,6 +313,90 @@ class TestAuditStates:
             audit_states(oct_single, maximally_mixed(2)[None], [2])
         with pytest.raises(ValueError, match="strength"):
             audit_states(oct_single, maximally_mixed(2)[None], [5], s=5)
+
+
+def unfused_audit(assignment, rhos, alphas, s):
+    """The AuditBatch arrays computed one quantity at a time: one
+    renyi_entropies call (so one check of the distributions) per alpha and
+    one for the min-entropy, the row maxima taken apart, and the roots and
+    Newton-step bound from separate checked solves."""
+    design = assignment.design
+    t = design.strength if s is None else s
+    d, n = design.dimension, assignment.n_outcomes
+    p = power_sums(density_spectra(rhos), t)
+    scale = d**t * sym_dim_inv(d, t) * complete_homogeneous(p, t)
+    bn, bk = float(n) ** (1 - t) * scale, float(design.size) ** (1 - t) * scale
+    probs = outcome_probability_batch(assignment, rhos)
+    beta_m = np.sum(probs**t, axis=-1)
+    y = upsilon_array(n, t, bn).value
+    y_m = upsilon_array(n, t, beta_m).value
+    prop1 = -np.log(y)
+
+    def per_alpha(column):
+        cols = [column(alpha) for alpha in alphas]
+        return np.stack(cols, axis=-1) if cols else np.empty((len(bn), 0))
+
+    min_ent = np.mean(renyi_entropies(probs, math.inf), axis=-1)
+    return {
+        "beta_n": bn, "beta": bk, "beta_m": beta_m, "purity": p[:, 1],
+        "actual": per_alpha(
+            lambda a: np.mean(renyi_entropies(probs, a), axis=-1)),
+        "bound_prior": per_alpha(lambda a: _prior(t, bn, a)),
+        "bound_prop1": prop1,
+        "bound_prop1_nr": -np.log(upsilon_nr1_array(n, t, bn)),
+        "bound_prop2": per_alpha(lambda a: _prop2(t, a, bn, y)),
+        "max_prob_actual": np.mean(probs.max(axis=-1), axis=-1),
+        "max_prob_cap": y,
+        "jensen_ok": np.mean(y_m, axis=-1) <= y + 1e-10,
+        "saturated": np.abs(min_ent - prop1) < SAT_ATOL,
+    }
+
+
+def near_floor_states(count=60):
+    """rho = (1 - eps) I/2 + eps |0><0|, eps log-spaced in [1e-16, 1e-6]:
+    beta_n just above the floor, where the root is double."""
+    return np.stack([(1.0 - eps) * maximally_mixed(2)
+                     + eps * pure_density(np.eye(2)[0])
+                     for eps in np.logspace(-16, -6, count)])
+
+
+class TestFusedAudit:
+    """audit_states checks the distributions once, takes their row maxima
+    once and checks each beta array once; every array must be the float
+    the one-quantity-at-a-time path gives."""
+
+    @pytest.mark.parametrize("name, grouping, alphas, s", AUDIT_CASES + [
+        ("octahedron", "single", [3, 4.5, 40, math.inf], None),
+        ("octahedron", "mub", [], None)])
+    @pytest.mark.parametrize("states", ["random", "near_floor"])
+    def test_arrays_equal_unfused(self, name, grouping, alphas, s, states,
+                                  rng):
+        design = builtin_design(name)
+        assignment = assign_povms(
+            design, mub_grouping() if grouping == "mub" else grouping)
+        rhos = (batch_states(design.dimension, rng) if states == "random"
+                else near_floor_states())
+        batch = audit_states(assignment, rhos, alphas, s=s)
+        ref = unfused_audit(assignment, rhos, alphas, s)
+        for field in dataclasses.fields(batch):
+            have = getattr(batch, field.name)
+            if isinstance(have, np.ndarray):
+                want = ref.pop(field.name)
+                assert have.shape == want.shape, field.name
+                assert have.dtype == want.dtype, field.name
+                assert (have == want).all(), field.name
+        assert ref == {}
+
+    @pytest.mark.parametrize("alpha", [0.5, 1, 3, math.inf])
+    @pytest.mark.parametrize("bad, message", [
+        ([0.5, 0.6, -0.1], "negative or NaN probability"),
+        ([0.5, math.nan, 0.5], "negative or NaN probability"),
+        ([0.5, 0.2, 0.2], "probabilities do not sum to 1")])
+    def test_bad_distribution_message(self, alpha, bad, message):
+        p = np.array([[1 / 3, 1 / 3, 1 / 3], bad])
+        with pytest.raises(ValueError) as info:
+            renyi_entropies(p, alpha)
+        assert str(info.value) == message
 
 
 class TestBatchedLayers:

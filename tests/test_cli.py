@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import design_uncertainty
 from design_uncertainty import save_design
-from design_uncertainty.cli import _fmt, main
+from design_uncertainty.cli import _csv_body, _fmt, main
 from design_uncertainty.designs import QuantumDesign
 
 
@@ -152,14 +152,41 @@ EXTREME_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300,
                   math.nan]
 
 
-@given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
-                | st.sampled_from(EXTREME_FLOATS), min_size=1, max_size=8))
-@example(EXTREME_FLOATS)
-def test_row_template_matches_fmt(row):
-    # the sweep writes a CSV row with one %-template; each cell must read
-    # as _fmt gives it
-    line = ",".join(["%.12g"] * len(row)) % tuple(row)
-    assert line.split(",") == [_fmt(x) for x in row]
+CELLS = (st.floats(allow_nan=True, allow_infinity=True)
+         | st.sampled_from(EXTREME_FLOATS))
+
+
+@given(st.integers(1, 8).flatmap(lambda cols: st.lists(
+    st.lists(CELLS, min_size=cols, max_size=cols), min_size=1, max_size=6)))
+@example([EXTREME_FLOATS])
+@example([EXTREME_FLOATS, EXTREME_FLOATS[::-1], [-0.0] * 10])
+def test_row_template_matches_fmt(rows):
+    # the sweep writes its CSV body with one %-template for the whole
+    # table; each line must end in a newline and each cell read as _fmt
+    # gives it
+    text = _csv_body(np.array(rows, dtype=float))
+    assert text.endswith("\n")
+    assert [line.split(",") for line in text.splitlines()] == [
+        [_fmt(x) for x in row] for row in rows]
+
+
+def test_csv_body_of_empty_table():
+    assert _csv_body(np.empty((0, 5))) == ""
+
+
+def test_benchmark_sweep_csv_matches_fmt(tmp_path, capsys):
+    # the shape of a timed sweep rep: 2,050 points of the
+    # icosidodecahedron with one alpha column
+    args = ["sweep", "--design", "icosidodecahedron", "--points", "2050",
+            "--alphas", "10"]
+    out = tmp_path / "sweep.csv"
+    assert main(args + ["--output", str(out)]) == 0
+    assert main(args + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 2050 and len(rows[0]) == 5
+    expected = "".join(",".join(_fmt(x) for x in row.values()) + "\n"
+                       for row in rows)
+    assert out.read_text() == ",".join(rows[0]) + "\n" + expected
 
 
 class TestAudit:

@@ -2,8 +2,8 @@
 CLI's exit code 2 for both, for NaN or -inf alphas and for a steering
 --alpha that is not one value, state errors for non-density states in an
 audit, the s <= t guard of sweep, bound_prop1 in the per-alpha satisfied
-check, the strength check of the steering inputs and verify_design's
-input checks."""
+check, the strength check of the steering inputs, verify_design's
+input checks and JSON files nested too deeply to read."""
 
 import contextlib
 import dataclasses
@@ -14,14 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from design_uncertainty import (DesignStrengthError, QuantumDesign,
+from design_uncertainty import (AssignmentError, DesignLoadError,
+                                DesignStrengthError, QuantumDesign,
                                 UncertifiedRootError, assign_povms,
                                 audit_state, audit_states, check_strength,
                                 landau_pollak_cap, matched_alice_povms,
-                                random_density, save_design,
+                                load_design, random_density, save_design,
                                 steering_check_maxprob, steering_check_renyi,
                                 upsilon, upsilon_array, verify_design)
-from design_uncertainty import designs
+from design_uncertainty import cli, designs
 from design_uncertainty.bounds import _check_index_identity
 from design_uncertainty.cli import main
 from design_uncertainty.quantum import maximally_mixed
@@ -84,6 +85,26 @@ class TestDesignStrengthError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: the design is not a {strength}-design" in captured.err
+
+    def test_huge_claimed_strength_stops_at_first_failing_order(
+            self, octahedron, tmp_path, capsys, monkeypatch):
+        # the octahedron fails at s = 4, so no order above 4 is evaluated
+        path = tmp_path / "fake.json"
+        save_design(QuantumDesign(dimension=2, strength=10**6,
+                                  vectors=octahedron.vectors), path)
+        calls = []
+        original = designs.frame_potential
+
+        def counting(design, s):
+            calls.append(s)
+            return original(design, s)
+
+        monkeypatch.setattr(designs, "frame_potential", counting)
+        assert main(["audit", "--design", str(path), "--samples", "5"]) == 2
+        assert len(calls) <= 4
+        err = capsys.readouterr().err
+        assert "error: the design is not a 1000000-design" in err
+        assert "at s=4" in err
 
     def test_strength_above_5_is_checked(self, octahedron, tmp_path, capsys):
         # orders above 5 reach the index-of-coincidence check
@@ -273,9 +294,54 @@ class TestSteeringChecksStrength:
         for s in (3, 5, 5):
             with contextlib.suppress(DesignStrengthError):
                 check_strength(fresh, s)
-        assert calls == [1, 2, 3, 4, 5]
-        assert fresh.frame_residuals is fresh.frame_residuals
-        assert fresh.frame_residuals[3] == pytest.approx(1 / 120, abs=1e-12)
+        # each order once, and none past the first failing order, s = 4
+        assert calls == [1, 2, 3, 4]
+        assert fresh.frame_residual(4) == pytest.approx(1 / 120, abs=1e-12)
+        assert calls == [1, 2, 3, 4]
+
+
+NESTING = 100_000
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the recursion limit is a malformed file:
+    each loader raises its typed error, and the CLI exits 2."""
+
+    def nested(self):
+        return "[" * NESTING + "]" * NESTING
+
+    def test_design_file(self, tmp_path, capsys):
+        path = tmp_path / "design.json"
+        path.write_text('{"dimension": 2, "strength": 3, "vectors": '
+                        + self.nested() + "}")
+        with pytest.raises(DesignLoadError, match="cannot read design file"):
+            load_design(path)
+        assert main(["verify", "--design", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read design file")
+
+    def test_grouping_file(self, octahedron, tmp_path, capsys):
+        path = tmp_path / "grouping.json"
+        path.write_text(self.nested())
+        with pytest.raises(AssignmentError, match="cannot read grouping"):
+            cli._get_assignment(octahedron, str(path))
+        assert main(["audit", "--design", "octahedron", "--grouping",
+                     str(path), "--samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read grouping file")
+
+    def test_state_file(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text('{"dims": [2, 2], "matrix": ' + self.nested() + "}")
+        with pytest.raises(ValueError, match="malformed state file"):
+            cli._load_bipartite_state(path)
+        assert main(["steering", "--state", str(path), "--design",
+                     "octahedron"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed state file")
 
 
 class TestVerifyInputs:
