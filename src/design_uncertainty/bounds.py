@@ -30,7 +30,7 @@ import numpy as np
 
 from .designs import (DesignStrengthError, PovmAssignment, check_strength,
                       outcome_probability_batch)
-from .entropy import _check_distributions, _finite_renyi, _floored
+from .entropy import _arimoto, _distributions
 from .quantum import (complete_homogeneous, density_spectra, power_sums,
                       sym_dim_inv)
 from .upsilon import _check_queries, _nr1, _roots, upsilon, upsilon_nr1
@@ -229,9 +229,11 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     per-POVM sums beta_m together gives Y(beta_n), which serves
     bound_prop1, bound_prop2 at every alpha, the Landau-Pollak cap and the
     saturation test, and the Jensen terms Y(beta_m).  The probabilities
-    are checked as distributions once (as renyi_entropies checks them),
-    and their row maxima, taken once, give the min-entropy, the
-    alpha = inf column and the average maximal probability.
+    are checked and floored as distributions once (as renyi_entropies
+    does), and the finite-alpha columns are the Renyi kernel's, each
+    distribution its one condition.  Their row maxima, taken once, give
+    the min-entropy, the alpha = inf column and the average maximal
+    probability.
     """
     design = assignment.design
     t = design.strength if s is None else s
@@ -255,17 +257,16 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     y, y_m = y_all[:len(bn)], y_all[len(bn):].reshape(beta_m.shape)
     prop1 = -np.log(y)
 
-    probs = _check_distributions(probs)
-    max_prob = probs.max(axis=-1)                              # (N, M)
+    floored = _distributions(probs)
+    max_prob = floored.max(axis=-1)                            # (N, M)
     min_ent = np.mean(-np.log(max_prob), axis=-1)
-    floored = _floored(probs)
 
     def per_alpha(column) -> np.ndarray:
         cols = [column(alpha) for alpha in alphas]
         return np.stack(cols, axis=-1) if cols else np.empty((len(bn), 0))
 
     actual = per_alpha(lambda a: min_ent if math.isinf(a) else
-                       np.mean(_finite_renyi(floored, a), axis=-1))
+                       np.mean(_arimoto(floored[..., None, :], a), axis=-1))
     prior = per_alpha(lambda a: _prior(t, bn, a))
     prop2 = per_alpha(lambda a: _prop2(t, a, bn, y))
     return AuditBatch(

@@ -64,12 +64,8 @@ def _named_assignment(design, grouping: str):
 
 
 def _parse_alphas(text: str) -> list[float]:
-    alphas = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok:
-            alphas.append(math.inf if tok == "inf" else float(tok))
-    return alphas
+    # float reads inf, Inf, +inf and infinity as math.inf
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _load_bipartite_state(path):

@@ -317,18 +317,14 @@ def mub_grouping() -> list[list[int]]:
 
 
 def outcome_probabilities(assignment: PovmAssignment, m: int, rho) -> np.ndarray:
-    """Outcome distribution p_j = (d/n) <phi_j|rho|phi_j> of POVM m (0-based)."""
-    rho = np.asarray(rho, dtype=complex)
-    d, n = assignment.design.dimension, assignment.n_outcomes
-    if rho.shape != (d, d):
-        raise ValueError(f"state shape {rho.shape} does not match dimension {d}")
-    vs = assignment.design.vectors[list(assignment.groups[m])]
-    probs = (d / n) * np.real(np.einsum("jd,dc,jc->j", vs.conj(), rho, vs))
-    return np.clip(probs, 0.0, None)
+    """Outcome distribution p_j = (d/n) <phi_j|rho|phi_j> of POVM m
+    (0-based): row m of all_outcome_probabilities."""
+    return all_outcome_probabilities(assignment, rho)[m]
 
 
 def all_outcome_probabilities(assignment: PovmAssignment, rho) -> np.ndarray:
-    """(M, n) array of outcome distributions, one row per POVM."""
+    """(M, n) array of outcome distributions, one row per POVM: the
+    outcome_probability_batch of one state."""
     rho = np.asarray(rho, dtype=complex)
     d = assignment.design.dimension
     if rho.shape != (d, d):

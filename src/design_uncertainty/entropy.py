@@ -1,5 +1,6 @@
-"""Renyi entropies of outcome distributions, in nats, plus Arimoto's
-conditional Renyi entropy for the steering checks.
+"""Renyi entropies of outcome distributions, in nats, all from one kernel:
+Arimoto's conditional Renyi entropy, whose one-condition case is the
+marginal entropy.  The steering checks use its conditional form.
 
 alpha = 1 is the Shannon limit and alpha = math.inf the min-entropy branch;
 both are handled exactly rather than as numeric limits.  Probabilities below
@@ -13,47 +14,18 @@ import math
 import numpy as np
 
 PROB_FLOOR = 1e-15
+_TINY = np.finfo(float).tiny      # sums of p^alpha below it have underflowed
 
 
 def renyi_entropies(p, alpha) -> np.ndarray:
     """Renyi alpha-entropies (1-alpha)^{-1} ln sum p^alpha in nats of the
-    distributions along the last axis of p.
+    distributions along the last axis of p: the kernel with one condition.
 
     alpha = 1 gives the Shannon entropy, alpha = math.inf -ln max(p).
-    ValueError unless every distribution is non-negative and sums to 1
-    within 1e-10.
+    ValueError unless alpha > 0 and every distribution is non-negative and
+    sums to 1 within 1e-10.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    p = _floored(_check_distributions(p))
-    if math.isinf(alpha):
-        return -np.log(np.max(p, axis=-1))
-    return _finite_renyi(p, alpha)
-
-
-def _check_distributions(p) -> np.ndarray:
-    """p as a float array; ValueError unless every distribution along its
-    last axis is non-negative and sums to 1 within 1e-10."""
-    p = np.asarray(p, dtype=float)
-    # each test is written so that NaN fails it; an empty stack passes
-    if not p.min(initial=math.inf) >= -1e-10:
-        raise ValueError("negative or NaN probability")
-    if not np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0) <= 1e-10:
-        raise ValueError("probabilities do not sum to 1")
-    return p
-
-
-def _floored(p) -> np.ndarray:
-    """p with the entries below PROB_FLOOR set to exact zeros."""
-    return np.where(p < PROB_FLOOR, 0.0, p)
-
-
-def _finite_renyi(p, alpha) -> np.ndarray:
-    """renyi_entropies at a finite alpha > 0 of checked, floored p."""
-    if alpha == 1:
-        nz = p > 0
-        return -np.sum(p * np.log(np.where(nz, p, 1.0)), axis=-1)
-    return np.log(np.sum(p**alpha, axis=-1)) / (1.0 - alpha)
+    return _arimoto(_distributions(p)[..., None, :], alpha)
 
 
 def renyi_entropy(p, alpha) -> float:
@@ -63,28 +35,56 @@ def renyi_entropy(p, alpha) -> float:
 
 def conditional_renyi_arimoto(joint, alpha) -> float:
     """Arimoto conditional Renyi entropy R_alpha(X|Z) of a joint matrix
-    p[x, z].  Columns of zero weight contribute nothing."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    p[x, z], one distribution over all its entries (ValueError otherwise,
+    as in renyi_entropies).  Columns of zero weight contribute nothing."""
     joint = np.asarray(joint, dtype=float)
     if joint.ndim != 2:
         raise ValueError("joint distribution must be a 2d matrix p[x, z]")
-    if not joint.min() >= -1e-10:
-        raise ValueError("negative or NaN probability")
-    joint = _floored(joint)
-    pz = joint.sum(axis=0)
-    total = pz.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"joint distribution sums to {total}, expected 1")
-    cols = pz > 0
-    cond = joint[:, cols] / pz[cols]
-    if math.isinf(alpha):
-        return -math.log(float(np.sum(pz[cols] * cond.max(axis=0))))
-    if alpha == 1:
-        # conditional Shannon entropy as the limit
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(cond > 0, -cond * np.log(np.where(cond > 0, cond, 1.0)), 0.0)
-        return float(np.sum(pz[cols] * terms.sum(axis=0)))
-    inner = np.sum(cond**alpha, axis=0) ** (1.0 / alpha)
-    return (alpha / (1.0 - alpha)) * math.log(float(np.sum(pz[cols] * inner)))
+    cols = _distributions(np.ravel(joint.T)).reshape(joint.shape[::-1])
+    return float(_arimoto(cols, alpha))
 
+
+def _distributions(p) -> np.ndarray:
+    """p as a float array with the entries below PROB_FLOOR set to exact
+    zeros; ValueError unless every distribution along its last axis is
+    non-negative and sums to 1 within 1e-10."""
+    p = np.asarray(p, dtype=float)
+    # each test is written so that NaN fails it; an empty stack passes
+    if not p.min(initial=math.inf) >= -1e-10:
+        raise ValueError("negative or NaN probability")
+    if not np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0) <= 1e-10:
+        raise ValueError("probabilities do not sum to 1")
+    return np.where(p < PROB_FLOOR, 0.0, p)
+
+
+def _arimoto(p, alpha) -> np.ndarray:
+    """The one evaluation of the Renyi family: Arimoto's
+    (alpha/(1-alpha)) ln sum_z ||p(., z)||_alpha in nats of the joint
+    distributions p[..., z, x] that _distributions returned, outcome axis
+    x last.  With ln s_z = ln sum_x p^alpha and its largest column L it is
+    (L + alpha ln sum_z exp((ln s_z - L)/alpha)) / (1 - alpha), so one
+    column z gives ln s / (1 - alpha) exactly.  ValueError unless
+    alpha > 0."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if math.isinf(alpha):
+        return -np.log(p.max(axis=-1).sum(axis=-1))
+    if alpha == 1:
+        # the conditional Shannon entropy -sum p ln(p / p_z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = p * np.log(p / p.sum(axis=-1, keepdims=True))
+        return -np.where(p > 0, terms, 0.0).sum(axis=(-2, -1))
+    s = (p**alpha).sum(axis=-1)
+    if s.min(initial=math.inf) >= _TINY:
+        logs = np.log(s)
+    else:
+        # where the sum underflows, take the column maximum m out first:
+        # alpha ln m + ln sum (p/m)^alpha; a zero-weight column keeps ln 0
+        m = p.max(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = alpha * np.log(m) \
+                + np.log(((p / m[..., None])**alpha).sum(axis=-1))
+            logs = np.where((s < _TINY) & (m > 0), scaled, np.log(s))
+    top = logs.max(axis=-1, keepdims=True)
+    rest = np.log(np.exp((logs - top) / alpha).sum(axis=-1))
+    return (top[..., 0] + alpha * rest) / (1.0 - alpha)

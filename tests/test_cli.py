@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import design_uncertainty
 from design_uncertainty import save_design
-from design_uncertainty.cli import _csv_body, _fmt, main
+from design_uncertainty.cli import _csv_body, _fmt, _parse_alphas, main
 from design_uncertainty.designs import QuantumDesign
 
 
@@ -202,6 +202,15 @@ class TestAudit:
                      "--samples", "30", "--seed", "1"]) == 0
         assert "violations: 0" in capsys.readouterr().out
 
+    def test_large_alpha_no_warning(self):
+        # sum p^500 underflows on the maximally mixed state; the kernel
+        # takes the maximum out first, so nothing warns, even as an error
+        proc = _fresh_run(["audit", "--design", "octahedron", "--samples",
+                           "5", "--alphas", "500,inf"], "-X", "dev", "-W",
+                          "error")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "violations: 0" in proc.stdout
+
     def test_alpha_below_s_exit_2(self, capsys):
         assert main(["audit", "--design", "octahedron", "--samples", "5",
                      "--alphas", "2"]) == 2
@@ -219,6 +228,22 @@ class TestSteering:
         out = capsys.readouterr().out
         assert "satisfied=False" in out
         assert "steering witnessed" in out
+
+    def test_large_alpha_mixed_state(self, tmp_path, capsys):
+        state = tmp_path / "mixed.json"
+        state.write_text(json.dumps({
+            "dims": [2, 2], "matrix": [[[0.25 * (i == j), 0.0]
+                                        for j in range(4)]
+                                       for i in range(4)]}))
+        assert main(["steering", "--state", str(state), "--design",
+                     "octahedron", "--grouping", "mub", "--alpha",
+                     "2000"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert captured.err == "" and len(lines) == 2
+        ln2 = _fmt(math.log(2))
+        assert lines[0].startswith(f"renyi (alpha=2000): lhs={ln2} ")
+        assert all(line.endswith("satisfied=True") for line in lines)
 
     def test_product_state_satisfied(self, tmp_path, capsys):
         state = tmp_path / "prod.json"
@@ -265,6 +290,14 @@ class TestSteering:
         assert main(["steering", "--state", str(state),
                      "--design", "octahedron"]) == 2
         assert "error: malformed state file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, alphas", [
+    ("inf", [math.inf]), ("Inf", [math.inf]), ("+inf", [math.inf]),
+    ("infinity", [math.inf]), ("3,,6", [3.0, 6.0]),
+    (" 3, inf ", [3.0, math.inf]), ("", [])])
+def test_parse_alphas(text, alphas):
+    assert _parse_alphas(text) == alphas
 
 
 class TestIntegerFields:
@@ -324,14 +357,19 @@ REPEATED_CALLS = [
 ]
 
 
-def _fresh_process(argv):
+def _fresh_run(argv, *flags):
+    """The CLI run in a fresh interpreter started with flags."""
     src = Path(design_uncertainty.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "design_uncertainty.cli", *argv],
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "design_uncertainty.cli", *argv],
         capture_output=True, text=True, timeout=120, check=False,
         env=dict(os.environ, PYTHONPATH=path))
+
+
+def _fresh_process(argv):
+    proc = _fresh_run(argv)
     return proc.returncode, proc.stdout
 
 

@@ -1,14 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from design_uncertainty import conditional_renyi_arimoto, renyi_entropies
+from design_uncertainty import (audit_state, conditional_renyi_arimoto,
+                                renyi_entropies)
 from design_uncertainty.entropy import renyi_entropy
 
 ALPHA_GRID = [0.5, 1, 2, 3, 5, 10, math.inf]
+# on 6 outcomes sum p^alpha underflows from about alpha = 1000 on
+LARGE_ALPHAS = [100, 500, 1000, 5000, 1e5, 1e6]
 
 
 def random_distribution(rng, n):
@@ -134,3 +138,79 @@ class TestConditionalArimoto:
         joint = np.array([[0.5, 0.25], [bad, 0.5]])
         with pytest.raises(ValueError):
             conditional_renyi_arimoto(joint, 2)
+
+
+class TestLargeAlpha:
+    """Where sum p^alpha underflows, the kernel takes the column maximum
+    out first."""
+
+    @pytest.mark.parametrize("alpha", [500, 5000, 1e6])
+    def test_uniform(self, alpha):
+        assert renyi_entropies(np.full(6, 1 / 6), alpha) == pytest.approx(
+            math.log(6), rel=1e-13, abs=0)
+
+    def test_against_mpmath(self, rng):
+        for _ in range(20):
+            p = random_distribution(rng, 6)
+            with mpmath.workdps(50):
+                for alpha in LARGE_ALPHAS:
+                    want = mpmath.log(mpmath.fsum(mpmath.mpf(x) ** alpha
+                                                  for x in p)) / (1 - alpha)
+                    got = renyi_entropy(p, alpha)
+                    assert abs(got - want) <= 1e-13 * abs(want), alpha
+
+    def test_conditional_against_mpmath(self, rng):
+        for _ in range(20):
+            joint = random_distribution(rng, 12).reshape(3, 4)
+            with mpmath.workdps(50):
+                for alpha in LARGE_ALPHAS:
+                    a = mpmath.mpf(alpha)
+                    norms = mpmath.fsum(
+                        mpmath.fsum(mpmath.mpf(x) ** a for x in col)
+                        ** (1 / a) for col in joint.T)
+                    want = a / (1 - a) * mpmath.log(norms)
+                    got = conditional_renyi_arimoto(joint, alpha)
+                    assert abs(got - want) <= 1e-13 * abs(want), alpha
+
+    def test_monotone_in_alpha(self, rng):
+        for _ in range(50):
+            p = random_distribution(rng, 6)
+            vals = [renyi_entropy(p, a)
+                    for a in [2, 3, 10, *LARGE_ALPHAS, math.inf]]
+            assert np.all(np.diff(vals) <= 0), vals
+
+    def test_batch_rows_underflow_alone(self):
+        # only the uniform row underflows; the other keeps its plain sum
+        p = np.array([np.full(6, 1 / 6), [0.5, 0.5, 0, 0, 0, 0]])
+        np.testing.assert_array_equal(renyi_entropies(p, 500)[1:],
+                                      renyi_entropies(p[1:], 500))
+        assert renyi_entropies(p, 500)[0] == pytest.approx(math.log(6),
+                                                           rel=1e-13)
+
+    def test_audit_column(self, oct_single):
+        # the maximally mixed state: sum p^500 over 6 outcomes underflows
+        batch = audit_state(oct_single, np.eye(2) / 2, [500, math.inf])
+        assert batch.actual[0] == pytest.approx([math.log(6)] * 2,
+                                                rel=1e-13, abs=0)
+        assert batch.satisfied.all()
+
+    def test_conditional_uniform(self):
+        assert conditional_renyi_arimoto(np.full((2, 2), 0.25),
+                                         2000) == pytest.approx(
+            math.log(2), rel=1e-13, abs=0)
+
+    def test_conditional_zero_weight_column(self):
+        joint = np.array([[0.5, 0.0], [0.5, 0.0]])
+        assert conditional_renyi_arimoto(joint, 2000) == pytest.approx(
+            math.log(2), rel=1e-13, abs=0)
+
+
+@given(st.lists(st.floats(0, 1, allow_subnormal=False), min_size=1,
+                max_size=12).filter(lambda w: sum(w) > 0),
+       st.sampled_from([0.5, 1, 2, 3, 10, 500, math.inf]))
+@settings(max_examples=300, deadline=None)
+def test_one_condition_is_the_marginal(weights, alpha):
+    # both are views of one kernel, so they agree exactly
+    p = np.array(weights) / sum(weights)
+    assert conditional_renyi_arimoto(p[:, None], alpha) \
+        == renyi_entropy(p, alpha)

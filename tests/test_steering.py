@@ -12,7 +12,8 @@ from design_uncertainty import (QuantumDesign, assign_povms, builtin_design,
                                 steering_check_renyi)
 from design_uncertainty.designs import outcome_probabilities
 from design_uncertainty.entropy import renyi_entropy
-from design_uncertainty.quantum import maximally_mixed, partial_trace
+from design_uncertainty.quantum import (maximally_mixed, partial_trace,
+                                       random_densities)
 from design_uncertainty.steering import conditioned_ensemble
 
 
@@ -271,3 +272,47 @@ class TestAgainstLoopOracle:
                                             alpha).lhs == renyi
             assert steering_check_maxprob(rho_ab, DIMS, alice,
                                           bob).lhs == maxprob
+
+
+def steering_lhs_mp(rho_ab, alice, bob, alpha):
+    """Oracle: the Renyi lhs at 50 digits from the joint distributions
+    p(j, l | m) = tr((F_l (x) E_j) rho_AB), without conditioned_ensemble."""
+    d = bob.design.dimension
+    pairs = [(a, b) for a in range(d) for b in range(d)]
+
+    def mp(op):
+        return [[mpmath.mpc(x) for x in row] for row in op.tolist()]
+
+    with mpmath.workdps(50):
+        rho = mp(rho_ab)
+        total = mpmath.mpf(0)
+        for m, povm in enumerate(alice):
+            bob_ops = [mp(e) for e in bob.povm_elements(m)]
+            # column l: tr((F (x) E) rho) = sum F[a, b] E[c, g] rho[bg, ac]
+            cols = [[max(mpmath.re(mpmath.fsum(
+                f[a][b] * e[c][g] * rho[b * d + g][a * d + c]
+                for a, b in pairs for c, g in pairs)), 0) for e in bob_ops]
+                for f in map(mp, povm)]
+            if math.isinf(alpha):
+                total += -mpmath.log(mpmath.fsum(max(c) for c in cols))
+            else:
+                q = mpmath.mpf(alpha)
+                norms = mpmath.fsum(mpmath.fsum(x**q for x in c) ** (1 / q)
+                                    for c in cols)
+                total += q / (1 - q) * mpmath.log(norms)
+        return total / len(alice)
+
+
+class TestAgainstMpmath:
+    def test_renyi_lhs_on_seeded_states(self, mub, alice):
+        rng = np.random.default_rng(4057)
+        states = list(random_densities(4, 100, rng))
+        states += [random_separable(rng) for _ in range(100)]
+        states += [v * bell_state() + (1 - v) * np.eye(4) / 4
+                   for v in rng.uniform(size=100)]
+        for rho_ab in states:
+            for alpha in (3, math.inf):
+                lhs = steering_check_renyi(rho_ab, DIMS, alice, mub,
+                                           alpha).lhs
+                want = steering_lhs_mp(rho_ab, alice, mub, alpha)
+                assert abs(lhs - want) <= 1e-15, (alpha, lhs, want)
