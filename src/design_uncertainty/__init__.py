@@ -8,8 +8,8 @@ other function lives in its submodule."""
 __version__ = "0.1.0"
 
 from .bounds import (AuditBatch, BoundCurves, audit_state, audit_states,
-                     bound_curves, bound_prior, bound_prop1, bound_prop1_nr,
-                     bound_prop2, landau_pollak_cap, state_independent_bound,
+                     bound_curves, bound_prior, bound_prop1, bound_prop2,
+                     landau_pollak_cap, state_independent_bound,
                      state_independent_cap)
 from .designs import (AssignmentError, DesignLoadError, DesignStrengthError,
                       PovmAssignment, QuantumDesign, VerificationReport,
@@ -25,8 +25,8 @@ from .upsilon import (UncertifiedRootError, UpsilonResult, upsilon,
 
 __all__ = [
     "AuditBatch", "BoundCurves", "audit_state", "audit_states",
-    "bound_curves", "bound_prior", "bound_prop1", "bound_prop1_nr",
-    "bound_prop2", "landau_pollak_cap", "state_independent_bound",
+    "bound_curves", "bound_prior", "bound_prop1", "bound_prop2",
+    "landau_pollak_cap", "state_independent_bound",
     "state_independent_cap", "AssignmentError", "DesignLoadError",
     "DesignStrengthError", "PovmAssignment", "QuantumDesign",
     "VerificationReport", "assign_povms", "builtin_design", "check_strength",

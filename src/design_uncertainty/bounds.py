@@ -13,11 +13,14 @@ interval beta_range gives (beta is the same with K in place of n):
                   valid for alpha >= t, equal to bound_prop1 at alpha = inf.
 
 Landau-Pollak style caps bound the average maximal probability from above by
-Y(n, t, beta_n).  state_independent_bound and state_independent_cap take
-beta_n at the design's ceiling, valid for every state; that root is solved
-once per design.  audit_states evaluates everything for a stack of states
-and checks the actual entropies against the bounds; audit_state is its view
-on one state.
+Y(n, t, beta_n).  bound_curves is the one evaluation of the family and of
+its roots, over an array of beta_n; everything else is its view.  The
+scalar bound_prior, bound_prop1 and bound_prop2 take one beta_n.
+state_independent_bound and state_independent_cap take beta_n at the
+design's ceiling, valid for every state, and are cached, so each is
+computed once per design (and alpha).  audit_states evaluates everything for a stack of
+states and checks the actual entropies against the bounds; audit_state is
+its view on one state.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .designs import (DesignStrengthError, PovmAssignment, check_strength,
 from .entropy import _arimoto, _distributions
 from .quantum import (complete_homogeneous, density_spectra, power_sums,
                       sym_dim_inv)
-from .upsilon import _check_queries, _nr1, _roots, upsilon, upsilon_nr1
+from .upsilon import _check_queries, _nr1, _roots
 
 SAT_ATOL = 1e-9
 
@@ -117,74 +120,62 @@ def _check_index_identity(assignment: PovmAssignment, beta_m, beta_n,
             f"the design is not a {s}-design")
 
 
-def _check_alpha(t: int, alpha) -> None:
-    # written so that NaN and -inf fail it
-    if not alpha >= t:
-        raise ValueError(f"bound needs alpha >= t, got alpha={alpha}, t={t}")
-
-
-def _prior(t: int, beta_n, alpha):
-    if math.isinf(alpha):
-        return -np.log(beta_n) / t
-    return alpha * np.log(beta_n) / (t * (1.0 - alpha))
-
-
-def _prop2(t: int, alpha, beta_n, y):
-    """bound_prop2 from the root y = Y(n, t, beta_n)."""
-    if math.isinf(alpha):
-        return -np.log(y)
-    return -(alpha - t) / (alpha - 1.0) * np.log(y) \
-        - np.log(beta_n) / (alpha - 1.0)
-
-
 def bound_prior(n: int, t: int, beta_n: float, alpha) -> float:
-    """Baseline lower bound on the average alpha-entropy, alpha >= t; beta_n
-    must lie in the admissible range, as for the root-based bounds."""
-    _check_alpha(t, alpha)
-    return float(_prior(t, _check_queries(n, t, beta_n), alpha))
+    """Baseline lower bound on the average alpha-entropy, alpha >= t: the
+    bound_curves value at one beta_n."""
+    return float(bound_curves(n, t, beta_n, [alpha]).bound_prior[0])
 
 
 def bound_prop1(n: int, t: int, beta_n: float) -> float:
-    """Min-entropy bound -ln Y(n, t, beta_n)."""
-    return float(-np.log(upsilon(n, t, beta_n).value))
-
-
-def bound_prop1_nr(n: int, t: int, beta_n: float) -> float:
-    """Analytic one-Newton-step min-entropy bound; between the baseline and
-    bound_prop1."""
-    return float(-np.log(upsilon_nr1(n, t, beta_n)))
+    """Min-entropy bound -ln Y(n, t, beta_n): the bound_curves value at one
+    beta_n."""
+    return float(bound_curves(n, t, beta_n, ()).bound_prop1)
 
 
 def bound_prop2(n: int, t: int, alpha, beta_n: float) -> float:
-    """Renyi bound for alpha >= t; reduces to the baseline at alpha = t and
-    to bound_prop1 at alpha = inf."""
-    _check_alpha(t, alpha)
-    return float(_prop2(t, alpha, beta_n, upsilon(n, t, beta_n).value))
+    """Renyi bound for alpha >= t, the bound_curves value at one beta_n;
+    it reduces to the baseline at alpha = t and to bound_prop1 at
+    alpha = inf."""
+    return float(bound_curves(n, t, beta_n, [alpha]).bound_prop2[0])
 
 
 @dataclass(frozen=True, eq=False)
 class BoundCurves:
-    """The bounds over an array of beta_n, each with the shape of beta_n."""
+    """The bound family over an array of beta_n, each array with the shape
+    of beta_n."""
 
-    bound_prior: np.ndarray       # at alpha = inf
+    cap: np.ndarray               # Y(n, t, beta_n)
     bound_prop1: np.ndarray
     bound_prop1_nr: np.ndarray
+    bound_prior: tuple            # one array per alpha
     bound_prop2: tuple            # one array per alpha
 
 
 def bound_curves(n: int, t: int, betas, alphas) -> BoundCurves:
-    """bound_prior at alpha = inf, bound_prop1, bound_prop1_nr and
-    bound_prop2 at each alpha over an array of beta_n, from one array root
-    solve."""
+    """The one evaluation of the bounds: the cap Y, bound_prop1,
+    bound_prop1_nr, and bound_prior and bound_prop2 at each alpha >= t,
+    over an array of beta_n, from one array root solve.  beta_n must lie in
+    the admissible range (ValueError otherwise); the roots take it clamped
+    into that range, the formulas as given.  The baseline is written
+    ln beta_n / (t (1/alpha - 1)), which has no product to overflow at a
+    huge finite alpha and gives -(1/t) ln beta_n at alpha = inf."""
     for alpha in alphas:
-        _check_alpha(t, alpha)
+        if not alpha >= t:    # written so that NaN and -inf fail it
+            raise ValueError(f"bound needs alpha >= t, got alpha={alpha}, "
+                             f"t={t}")
     betas = np.asarray(betas, dtype=float)
     checked = _check_queries(n, t, betas)
     y = _roots(n, t, checked).value
+    prop1, log_beta = -np.log(y), np.log(betas)
     return BoundCurves(
-        bound_prior=_prior(t, betas, math.inf), bound_prop1=-np.log(y),
+        cap=y, bound_prop1=prop1,
         bound_prop1_nr=-np.log(_nr1(n, t, checked)),
-        bound_prop2=tuple(_prop2(t, alpha, betas, y) for alpha in alphas))
+        bound_prior=tuple(log_beta / (t * (1.0 / alpha - 1.0))
+                          for alpha in alphas),
+        bound_prop2=tuple(
+            prop1 if math.isinf(alpha) else
+            (alpha - t) / (alpha - 1.0) * prop1 - log_beta / (alpha - 1.0)
+            for alpha in alphas))
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,7 +183,7 @@ def state_independent_cap(n: int, d: int, t: int) -> float:
     """Y(n, t, beta_hi) at the state-independent ceiling
     beta_hi = n^{1-t} d^t / dim_sym: a constant of the design, so each
     design's root is solved once."""
-    return upsilon(n, t, beta_range(n, d, t)[1]).value
+    return float(bound_curves(n, t, beta_range(n, d, t)[1], ()).cap)
 
 
 @functools.lru_cache
@@ -200,9 +191,8 @@ def state_independent_bound(n: int, d: int, t: int, alpha) -> float:
     """bound_prop2 evaluated at the state-independent ceiling beta_hi,
     valid for every state: a constant of the design and alpha, computed
     once per pair (a bad alpha raises on every call)."""
-    _check_alpha(t, alpha)
-    return float(_prop2(t, alpha, beta_range(n, d, t)[1],
-                        state_independent_cap(n, d, t)))
+    return float(bound_curves(n, t, beta_range(n, d, t)[1],
+                              [alpha]).bound_prop2[0])
 
 
 def landau_pollak_cap(assignment: PovmAssignment, rho, s: int
@@ -225,10 +215,10 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     checks positivity gives the power sums, hence beta_n, beta and the
     purity, one contraction every outcome probability.  The
     index-of-coincidence identity is checked against those probabilities
-    on every state as well.  One array root solve on beta_n and the
-    per-POVM sums beta_m together gives Y(beta_n), which serves
-    bound_prop1, bound_prop2 at every alpha, the Landau-Pollak cap and the
-    saturation test, and the Jensen terms Y(beta_m).  The probabilities
+    on every state as well.  One bound_curves call, so one root solve, on
+    beta_n and the per-POVM sums beta_m together gives every bound and the
+    Landau-Pollak cap Y(beta_n) in its column 0, and the Jensen terms
+    Y(beta_m) in the others.  The probabilities
     are checked and floored as distributions once (as renyi_entropies
     does), and the finite-alpha columns are the Renyi kernel's, each
     distribution its one condition.  Their row maxima, taken once, give
@@ -239,8 +229,6 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     t = design.strength if s is None else s
     d, n = design.dimension, assignment.n_outcomes
     alphas = tuple(alphas)
-    for alpha in alphas:
-        _check_alpha(t, alpha)
     check_order(assignment, t)
     rhos = np.asarray(rhos, dtype=complex)
     evals = density_spectra(rhos)
@@ -252,30 +240,29 @@ def audit_states(assignment: PovmAssignment, rhos, alphas,
     beta_m = np.sum(probs**t, axis=-1)                         # (N, M)
     _check_index_identity(assignment, beta_m, bn, t)
 
-    queries = _check_queries(n, t, np.concatenate([bn, beta_m.ravel()]))
-    y_all = _roots(n, t, queries).value
-    y, y_m = y_all[:len(bn)], y_all[len(bn):].reshape(beta_m.shape)
-    prop1 = -np.log(y)
+    # column 0 is beta_n, the others the Jensen terms: one root solve
+    curves = bound_curves(n, t, np.column_stack([bn, beta_m]), alphas)
+    y, y_m = curves.cap[:, 0], curves.cap[:, 1:]
+    prop1 = curves.bound_prop1[:, 0]
 
     floored = _distributions(probs)
     max_prob = floored.max(axis=-1)                            # (N, M)
     min_ent = np.mean(-np.log(max_prob), axis=-1)
 
-    def per_alpha(column) -> np.ndarray:
-        cols = [column(alpha) for alpha in alphas]
+    def per_alpha(cols) -> np.ndarray:
         return np.stack(cols, axis=-1) if cols else np.empty((len(bn), 0))
 
-    actual = per_alpha(lambda a: min_ent if math.isinf(a) else
-                       np.mean(_arimoto(floored[..., None, :], a), axis=-1))
-    prior = per_alpha(lambda a: _prior(t, bn, a))
-    prop2 = per_alpha(lambda a: _prop2(t, a, bn, y))
+    actual = per_alpha([min_ent if math.isinf(a) else
+                        np.mean(_arimoto(floored[..., None, :], a), axis=-1)
+                        for a in alphas])
     return AuditBatch(
         dimension=design.dimension, design_size=design.size, n_outcomes=n,
         n_povms=assignment.n_povms, order=t, alphas=alphas,
         beta_n=bn, beta=bk, beta_m=beta_m, purity=p[:, 1],
-        actual=actual, bound_prior=prior, bound_prop1=prop1,
-        bound_prop1_nr=-np.log(_nr1(n, t, queries[:len(bn)])),
-        bound_prop2=prop2,
+        actual=actual,
+        bound_prior=per_alpha([c[:, 0] for c in curves.bound_prior]),
+        bound_prop1=prop1, bound_prop1_nr=curves.bound_prop1_nr[:, 0],
+        bound_prop2=per_alpha([c[:, 0] for c in curves.bound_prop2]),
         max_prob_actual=np.mean(max_prob, axis=-1),
         max_prob_cap=y,
         jensen_ok=np.mean(y_m, axis=-1) <= y + 1e-10,

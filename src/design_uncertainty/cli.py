@@ -111,15 +111,17 @@ def cmd_sweep(args) -> int:
 
     header = ["beta_bar", "bound_prior", "bound_prop1", "bound_prop1_nr"]
     header += [f"bound_prop2_alpha{_fmt(a)}" for a in finite_alphas]
-    curves = bound_curves(n, s, grid, finite_alphas)
-    prior, prop1, nr = curves.bound_prior, curves.bound_prop1, \
+    # the baseline column is bound_prior at alpha = inf
+    curves = bound_curves(n, s, grid, [math.inf, *finite_alphas])
+    prior, prop1, nr = curves.bound_prior[0], curves.bound_prop1, \
         curves.bound_prop1_nr
     bad = np.flatnonzero(~((prop1 >= nr - 1e-12) & (nr >= prior - 1e-12)))
     if bad.size:
         print(f"bound ordering violated at beta_bar={grid[bad[0]]}",
               file=sys.stderr)
         return 1
-    table = np.column_stack([grid, prior, prop1, nr, *curves.bound_prop2])
+    table = np.column_stack([grid, prior, prop1, nr,
+                             *curves.bound_prop2[1:]])
 
     if args.format == "csv":
         text = ",".join(header) + "\n" + _csv_body(table)

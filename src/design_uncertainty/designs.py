@@ -113,6 +113,13 @@ class PovmAssignment:
 
     design: QuantumDesign
     groups: tuple[tuple[int, ...], ...]
+    # (M, n, d) design vectors, one block per POVM: built once, read-only
+    vectors: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        stack = self.design.vectors[np.array(self.groups)]
+        stack.setflags(write=False)
+        object.__setattr__(self, "vectors", stack)
 
     @property
     def n_povms(self) -> int:
@@ -122,16 +129,10 @@ class PovmAssignment:
     def n_outcomes(self) -> int:
         return len(self.groups[0])
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """(M, n, d) design vectors, one block per POVM."""
-        return self.design.vectors[np.array(self.groups)]
-
     def povm_elements(self, m: int) -> list[np.ndarray]:
         """Rank-one elements (d/n) |phi><phi| of the m-th POVM (0-based)."""
         d, n = self.design.dimension, self.n_outcomes
-        return [(d / n) * np.outer(v, v.conj())
-                for v in self.design.vectors[list(self.groups[m])]]
+        return [(d / n) * np.outer(v, v.conj()) for v in self.vectors[m]]
 
 
 def _octahedron_bloch() -> np.ndarray:
@@ -301,14 +302,15 @@ def assign_povms(design: QuantumDesign, grouping="single") -> PovmAssignment:
         flat = sorted(i for g in groups for i in g)
         if flat != list(range(k)):
             raise AssignmentError("blocks must partition the design indices")
-    n = len(groups[0])
-    eye = np.eye(d)
-    for m, g in enumerate(groups):
-        vs = design.vectors[list(g)]
-        total = (d / n) * (vs.conj().T @ vs).T  # (d/n) sum |phi><phi|
-        if np.max(np.abs(total - eye)) > 1e-10:
-            raise AssignmentError(f"block {m} does not resolve the identity")
-    return PovmAssignment(design=design, groups=groups)
+    assignment = PovmAssignment(design=design, groups=groups)
+    vs = assignment.vectors
+    # (d/n) sum_j |phi_j><phi_j| of every block in one contraction
+    totals = (d / assignment.n_outcomes) * np.einsum("mja,mjb->mab", vs,
+                                                      vs.conj())
+    bad = np.flatnonzero(np.abs(totals - np.eye(d)).max(axis=(1, 2)) > 1e-10)
+    if bad.size:
+        raise AssignmentError(f"block {bad[0]} does not resolve the identity")
+    return assignment
 
 
 def mub_grouping() -> list[list[int]]:

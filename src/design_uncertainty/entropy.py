@@ -15,6 +15,7 @@ import numpy as np
 
 PROB_FLOOR = 1e-15
 _TINY = np.finfo(float).tiny      # sums of p^alpha below it have underflowed
+_SCALE = 1024.0                   # above -ln of the smallest positive double
 
 
 def renyi_entropies(p, alpha) -> np.ndarray:
@@ -74,17 +75,21 @@ def _arimoto(p, alpha) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = p * np.log(p / p.sum(axis=-1, keepdims=True))
         return -np.where(p > 0, terms, 0.0).sum(axis=(-2, -1))
+    # ln s_z and alpha are carried divided by _SCALE, a power of two, so
+    # every step rounds as it would unscaled, and alpha ln m below stays
+    # finite up to the largest double alpha
+    a = alpha / _SCALE
     s = (p**alpha).sum(axis=-1)
     if s.min(initial=math.inf) >= _TINY:
-        logs = np.log(s)
+        logs = np.log(s) / _SCALE
     else:
         # where the sum underflows, take the column maximum m out first:
         # alpha ln m + ln sum (p/m)^alpha; a zero-weight column keeps ln 0
         m = p.max(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = alpha * np.log(m) \
-                + np.log(((p / m[..., None])**alpha).sum(axis=-1))
-            logs = np.where((s < _TINY) & (m > 0), scaled, np.log(s))
+            scaled = a * np.log(m) \
+                + np.log(((p / m[..., None])**alpha).sum(axis=-1)) / _SCALE
+            logs = np.where((s < _TINY) & (m > 0), scaled, np.log(s) / _SCALE)
     top = logs.max(axis=-1, keepdims=True)
-    rest = np.log(np.exp((logs - top) / alpha).sum(axis=-1))
-    return (top[..., 0] + alpha * rest) / (1.0 - alpha)
+    rest = np.log(np.exp((logs - top) / a).sum(axis=-1))
+    return (top[..., 0] + a * rest) / (1.0 - alpha) * _SCALE

@@ -20,8 +20,10 @@ when an iterate does not decrease, where rounding takes over.  Every root is
 certified by its relative residual, or UncertifiedRootError is raised.
 
 upsilon_array runs the iteration on an array of beta, element-wise; upsilon
-is its view on one beta.  One explicit Newton step gives the analytic upper
-estimate used by the weaker bounds.
+is its view on one beta.  One explicit Newton step, upsilon_nr1, gives the
+analytic upper estimate used by the weaker bound.  bounds.bound_curves, the
+one evaluation of the bounds, checks its beta once with _check_queries and
+calls _roots and _nr1 on the checked array.
 """
 
 from __future__ import annotations
@@ -139,16 +141,12 @@ def upsilon(n: int, t: int, beta: float) -> UpsilonResult:
 def upsilon_nr1(n: int, t: int, beta: float) -> float:
     """One explicit Newton step from beta^{1/t}; a valid analytic upper
     estimate of the root (convexity keeps the tangent above it)."""
-    return float(upsilon_nr1_array(n, t, beta))
-
-
-def upsilon_nr1_array(n: int, t: int, betas) -> np.ndarray:
-    """upsilon_nr1 for an array of beta."""
-    return _nr1(n, t, _check_queries(n, t, betas))
+    return float(_nr1(n, t, _check_queries(n, t, beta)))
 
 
 def _nr1(n: int, t: int, beta) -> np.ndarray:
-    """upsilon_nr1_array on beta that _check_queries has already checked."""
+    """upsilon_nr1, element-wise, on an array of beta that _check_queries
+    has already checked."""
     r = beta ** (1.0 / t)
     denom = t * (n - 1.0) ** (t - 1) * beta ** (1.0 - 1.0 / t) \
         - t * (1.0 - r) ** (t - 1)

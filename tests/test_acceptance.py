@@ -191,8 +191,8 @@ def test_10_bound_validity_sweep():
         n, d = assignment.n_outcomes, design.dimension
         # figure-data rows: ordering invariant on a fine grid
         curves = bound_curves(n, t, np.linspace(*beta_range(n, d, t), 200),
-                              [])
-        for prior, nr, p1 in zip(curves.bound_prior, curves.bound_prop1_nr,
+                              [math.inf])
+        for prior, nr, p1 in zip(curves.bound_prior[0], curves.bound_prop1_nr,
                                  curves.bound_prop1):
             assert p1 >= nr - 1e-12 >= prior - 2e-12
         alphas = [t, 2 * t, math.inf]

@@ -14,10 +14,11 @@ from closed_forms import (beta_parameters_direct, pure_density,
 
 from design_uncertainty import (assign_povms, audit_state, audit_states,
                                 bound_curves, bound_prior, bound_prop1,
-                                bound_prop1_nr, bound_prop2, builtin_design,
-                                mub_grouping, random_density, renyi_entropies,
-                                upsilon, upsilon_array)
-from design_uncertainty.bounds import SAT_ATOL, _prior, _prop2, beta_range
+                                bound_prop2, builtin_design, mub_grouping,
+                                random_density, renyi_entropies,
+                                state_independent_bound,
+                                state_independent_cap, upsilon, upsilon_array)
+from design_uncertainty.bounds import SAT_ATOL, beta_range
 from design_uncertainty.cli import main
 from design_uncertainty.designs import (all_outcome_probabilities,
                                         outcome_probabilities,
@@ -27,7 +28,7 @@ from design_uncertainty.quantum import (complete_homogeneous,
                                         density_spectra, maximally_mixed,
                                         power_sums, sym_dim_inv)
 from design_uncertainty.upsilon import (MAX_ITER, admissible_range,
-                                        upsilon_nr1, upsilon_nr1_array)
+                                        upsilon_nr1)
 
 GRID_CASES = [(2, 3), (6, 3), (12, 5), (30, 5)]
 ITER_LIMIT = 50
@@ -146,27 +147,67 @@ class TestArraySolver:
 
     @pytest.mark.parametrize("n, t", GRID_CASES)
     def test_one_step_array(self, n, t):
+        # bound_curves' Newton-step column against the scalar step: a
+        # relative 1e-15 on the step is an absolute 1e-15 on its -ln
         betas = linspace_grid(n, t, 200)
-        got = upsilon_nr1_array(n, t, betas)
-        ref = np.array([upsilon_nr1(n, t, b) for b in betas])
-        assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+        got = bound_curves(n, t, betas, ()).bound_prop1_nr
+        ref = np.array([-math.log(upsilon_nr1(n, t, b)) for b in betas])
+        assert np.all(np.abs(got - ref) <= 1e-15)
+
+
+# (n, d, t) of every built-in: octahedron single and MUB, icosahedron,
+# icosidodecahedron
+BUILTIN_BOUNDS = [(6, 2, 3), (2, 2, 3), (12, 2, 5), (30, 2, 5)]
 
 
 class TestBoundCurves:
-    @pytest.mark.parametrize("n, d, t", [(6, 2, 3), (2, 2, 3), (30, 2, 5)])
+    """bound_curves is the one evaluation of the bounds; every other
+    function that gives a bound is its view and gives the same float."""
+
+    @pytest.mark.parametrize("n, d, t", BUILTIN_BOUNDS)
     def test_matches_scalar_bounds(self, n, d, t):
         betas = np.linspace(*beta_range(n, d, t), 101)
-        curves = bound_curves(n, t, betas, [t, 10.0])
+        alphas = [t, 10.0, math.inf]
+        curves = bound_curves(n, t, betas, alphas)
         for i, b in enumerate(betas):
-            assert curves.bound_prior[i] == pytest.approx(
-                bound_prior(n, t, b, math.inf), rel=1e-15)
-            assert curves.bound_prop1[i] == pytest.approx(
-                bound_prop1(n, t, b), rel=1e-14)
-            assert curves.bound_prop1_nr[i] == pytest.approx(
-                bound_prop1_nr(n, t, b), rel=1e-14)
-            for alpha, col in zip([t, 10.0], curves.bound_prop2):
-                assert col[i] == pytest.approx(bound_prop2(n, t, alpha, b),
-                                               rel=1e-14)
+            assert curves.bound_prop1[i] == bound_prop1(n, t, b)
+            for k, alpha in enumerate(alphas):
+                assert curves.bound_prior[k][i] \
+                    == bound_prior(n, t, b, alpha)
+                assert curves.bound_prop2[k][i] \
+                    == bound_prop2(n, t, alpha, b)
+
+    @pytest.mark.parametrize("n, d, t", BUILTIN_BOUNDS)
+    def test_state_independent_views(self, n, d, t):
+        hi = beta_range(n, d, t)[1]
+        alphas = [t, 10.0, math.inf]
+        curves = bound_curves(n, t, [hi], alphas)
+        assert state_independent_cap(n, d, t) == curves.cap[0]
+        for k, alpha in enumerate(alphas):
+            assert state_independent_bound(n, d, t, alpha) \
+                == curves.bound_prop2[k][0]
+
+    @pytest.mark.parametrize("name, grouping", [
+        ("octahedron", "single"), ("octahedron", "mub"),
+        ("icosahedron", "single"), ("icosidodecahedron", "single")])
+    def test_audit_fields(self, name, grouping, rng):
+        design = builtin_design(name)
+        assignment = assign_povms(
+            design, mub_grouping() if grouping == "mub" else grouping)
+        alphas = [design.strength, 10.0, math.inf]
+        batch = audit_states(assignment, batch_states(design.dimension, rng),
+                             alphas)
+        curves = bound_curves(assignment.n_outcomes, design.strength,
+                              batch.beta_n, alphas)
+        np.testing.assert_array_equal(batch.max_prob_cap, curves.cap)
+        np.testing.assert_array_equal(batch.bound_prop1, curves.bound_prop1)
+        np.testing.assert_array_equal(batch.bound_prop1_nr,
+                                      curves.bound_prop1_nr)
+        for k in range(len(alphas)):
+            np.testing.assert_array_equal(batch.bound_prior[:, k],
+                                          curves.bound_prior[k])
+            np.testing.assert_array_equal(batch.bound_prop2[:, k],
+                                          curves.bound_prop2[k])
 
     def test_alpha_below_t_rejected(self):
         with pytest.raises(ValueError):
@@ -187,7 +228,8 @@ def reference_audit(assignment, rho, alphas, s=None):
            for row in probs]
     actual = [float(np.mean([renyi_entropy(row, alpha) for row in probs]))
               for alpha in alphas]
-    prior = [bound_prior(n, t, bn, alpha) for alpha in alphas]
+    prior = [-math.log(bn) / t if math.isinf(alpha) else
+             alpha * math.log(bn) / (t * (1 - alpha)) for alpha in alphas]
     prop2 = [-math.log(y) if math.isinf(alpha) else
              -((alpha - t) * math.log(y) + math.log(bn)) / (alpha - 1)
              for alpha in alphas]
@@ -201,7 +243,8 @@ def reference_audit(assignment, rho, alphas, s=None):
         "beta_m": [float(np.sum(row**t)) for row in probs],
         "purity": float(np.real(np.trace(rho @ rho))),
         "actual": actual, "bound_prior": prior, "bound_prop1": -math.log(y),
-        "bound_prop1_nr": bound_prop1_nr(n, t, bn), "bound_prop2": prop2,
+        "bound_prop1_nr": -math.log(upsilon_nr1(n, t, bn)),
+        "bound_prop2": prop2,
         "satisfied": satisfied,
         "all_satisfied": all(satisfied) and max_prob <= y + 1e-10,
         "max_prob_actual": max_prob,
@@ -331,6 +374,7 @@ def unfused_audit(assignment, rhos, alphas, s):
     y = upsilon_array(n, t, bn).value
     y_m = upsilon_array(n, t, beta_m).value
     prop1 = -np.log(y)
+    log_bn = np.log(bn)
 
     def per_alpha(column):
         cols = [column(alpha) for alpha in alphas]
@@ -341,10 +385,12 @@ def unfused_audit(assignment, rhos, alphas, s):
         "beta_n": bn, "beta": bk, "beta_m": beta_m, "purity": p[:, 1],
         "actual": per_alpha(
             lambda a: np.mean(renyi_entropies(probs, a), axis=-1)),
-        "bound_prior": per_alpha(lambda a: _prior(t, bn, a)),
+        "bound_prior": per_alpha(lambda a: log_bn / (t * (1.0 / a - 1.0))),
         "bound_prop1": prop1,
-        "bound_prop1_nr": -np.log(upsilon_nr1_array(n, t, bn)),
-        "bound_prop2": per_alpha(lambda a: _prop2(t, a, bn, y)),
+        "bound_prop1_nr": bound_curves(n, t, bn, ()).bound_prop1_nr,
+        "bound_prop2": per_alpha(
+            lambda a: prop1 if math.isinf(a) else
+            (a - t) / (a - 1.0) * prop1 - log_bn / (a - 1.0)),
         "max_prob_actual": np.mean(probs.max(axis=-1), axis=-1),
         "max_prob_cap": y,
         "jensen_ok": np.mean(y_m, axis=-1) <= y + 1e-10,

@@ -1,16 +1,22 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from closed_forms import mub_min_bound, pure_density, upsilon_newton
 
-from design_uncertainty import (assign_povms, audit_state, bound_prior,
-                                bound_prop1, bound_prop1_nr, bound_prop2,
+from design_uncertainty import (assign_povms, audit_state, bound_curves,
+                                bound_prior, bound_prop1, bound_prop2,
                                 builtin_design, landau_pollak_cap,
                                 random_density, state_independent_bound)
 from design_uncertainty.bounds import beta_range
 from design_uncertainty.quantum import maximally_mixed
 from design_uncertainty.upsilon import upsilon_nr1
+
+
+def bound_prop1_nr(n, t, beta):
+    """The one-Newton-step bound at one beta, read from bound_curves."""
+    return float(bound_curves(n, t, beta, ()).bound_prop1_nr)
 
 
 class TestBoundPrior:
@@ -32,6 +38,16 @@ class TestBoundPrior:
     def test_alpha_below_t_rejected(self):
         with pytest.raises(ValueError):
             bound_prior(6, 3, 1 / 36, 2)
+
+    @pytest.mark.parametrize("alpha", [1e308, 1.7e308])
+    def test_huge_alpha_against_mpmath(self, alpha):
+        # alpha ln beta_n and t (1 - alpha) each overflow a double here
+        for beta in (1 / 36, 1 / 20, 1 / 18, 0.5, 1.0):
+            with mpmath.workdps(50):
+                a = mpmath.mpf(alpha)
+                want = a * mpmath.log(mpmath.mpf(beta)) / (3 * (1 - a))
+            assert abs(bound_prior(6, 3, beta, alpha) - want) \
+                <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("beta_n, alpha", [
         (1e-9, 3.5),         # below the floor: 9.67 > ln 6 before the check

@@ -211,6 +211,15 @@ class TestAudit:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert "violations: 0" in proc.stdout
 
+    def test_huge_alpha_no_warning(self):
+        # alpha ln beta_n and alpha ln max(p) would overflow a double
+        proc = _fresh_run(["audit", "--design", "octahedron", "--samples",
+                           "5", "--alphas", "1e308,1.7e308,inf"], "-X",
+                          "dev", "-W", "error")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "violations: 0" in proc.stdout
+        assert "nan" not in proc.stdout
+
     def test_alpha_below_s_exit_2(self, capsys):
         assert main(["audit", "--design", "octahedron", "--samples", "5",
                      "--alphas", "2"]) == 2
@@ -228,6 +237,22 @@ class TestSteering:
         out = capsys.readouterr().out
         assert "satisfied=False" in out
         assert "steering witnessed" in out
+
+    def test_huge_alpha_mixed_state(self, tmp_path, capsys):
+        state = tmp_path / "mixed.json"
+        state.write_text(json.dumps({
+            "dims": [2, 2], "matrix": [[[0.25 * (i == j), 0.0]
+                                        for j in range(4)]
+                                       for i in range(4)]}))
+        assert main(["steering", "--state", str(state), "--design",
+                     "octahedron", "--grouping", "mub", "--alpha",
+                     "1.7e308"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert captured.err == "" and len(lines) == 2
+        ln2 = _fmt(math.log(2))
+        assert lines[0].startswith(f"renyi (alpha=1.7e308): lhs={ln2} ")
+        assert all(line.endswith("satisfied=True") for line in lines)
 
     def test_large_alpha_mixed_state(self, tmp_path, capsys):
         state = tmp_path / "mixed.json"

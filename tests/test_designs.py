@@ -243,6 +243,28 @@ class TestAssignPovms:
         with pytest.raises(AssignmentError, match="block 0"):
             assign_povms(octahedron, [[0, 2], [1, 3], [4, 5]])
 
+    def test_first_bad_block_named(self, octahedron):
+        # blocks 1 and 2 both fail; the batched check names the first
+        with pytest.raises(AssignmentError) as info:
+            assign_povms(octahedron, [[0, 1], [2, 4], [3, 5]])
+        assert str(info.value) == "block 1 does not resolve the identity"
+
+    def test_vectors_built_once_read_only(self, octahedron):
+        a = assign_povms(octahedron, mub_grouping())
+        assert a.vectors is a.vectors
+        np.testing.assert_array_equal(
+            a.vectors, octahedron.vectors[np.array(mub_grouping())])
+        with pytest.raises(ValueError):
+            a.vectors[0, 0, 0] = 0.0
+
+    def test_povm_elements_read_the_stack(self, octahedron):
+        a = assign_povms(octahedron, mub_grouping())
+        for m, group in enumerate(mub_grouping()):
+            for e, j in zip(a.povm_elements(m), group):
+                v = octahedron.vectors[j]
+                np.testing.assert_array_equal(
+                    e, (2 / a.n_outcomes) * np.outer(v, v.conj()))
+
     def test_non_partition_rejected(self, octahedron):
         with pytest.raises(AssignmentError):
             assign_povms(octahedron, [[0, 1], [2, 3], [4, 4]])

@@ -144,7 +144,7 @@ class TestLargeAlpha:
     """Where sum p^alpha underflows, the kernel takes the column maximum
     out first."""
 
-    @pytest.mark.parametrize("alpha", [500, 5000, 1e6])
+    @pytest.mark.parametrize("alpha", [500, 5000, 1e6, 1e308, 1.7e308])
     def test_uniform(self, alpha):
         assert renyi_entropies(np.full(6, 1 / 6), alpha) == pytest.approx(
             math.log(6), rel=1e-13, abs=0)
@@ -198,6 +198,33 @@ class TestLargeAlpha:
         assert conditional_renyi_arimoto(np.full((2, 2), 0.25),
                                          2000) == pytest.approx(
             math.log(2), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha", [1e308, 1.7e308])
+    def test_huge_alpha_against_mpmath(self, rng, alpha):
+        # alpha ln max(p) overflows a double here; mpmath needs no rescaling
+        a = mpmath.mpf(alpha)
+        for _ in range(4):
+            p = random_distribution(rng, 6)
+            joint = random_distribution(rng, 12).reshape(3, 4)
+            with mpmath.workdps(50):
+                want = mpmath.log(mpmath.fsum(mpmath.mpf(x) ** a
+                                              for x in p)) / (1 - a)
+                norms = mpmath.fsum(
+                    mpmath.fsum(mpmath.mpf(x) ** a for x in col) ** (1 / a)
+                    for col in joint.T)
+                want_joint = a / (1 - a) * mpmath.log(norms)
+            assert abs(renyi_entropy(p, alpha) - want) <= 1e-13 * abs(want)
+            assert abs(conditional_renyi_arimoto(joint, alpha)
+                       - want_joint) <= 1e-13 * abs(want_joint)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2, 3, 10, 100])
+    def test_plain_sum_keeps_its_bits(self, rng, alpha):
+        # where sum p^alpha does not underflow, the one-column kernel is
+        # the plain formula, float for float
+        for _ in range(20):
+            p = random_distribution(rng, 6)
+            assert renyi_entropy(p, alpha) \
+                == np.log(np.sum(p**alpha)) / (1.0 - alpha)
 
     def test_conditional_zero_weight_column(self):
         joint = np.array([[0.5, 0.0], [0.5, 0.0]])
