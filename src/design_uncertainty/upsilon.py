@@ -57,7 +57,8 @@ def admissible_range(n: int, t: int) -> tuple[float, float]:
 
 
 def _check_queries(n: int, t: int, betas) -> np.ndarray:
-    """beta clamped into the admissible range; ValueError outside it, and
+    """beta clamped into the admissible range, as an ndarray for every
+    input (np.clip makes a 0-d array a scalar); ValueError outside it, and
     for NaN."""
     if n < 2 or t < 2:
         raise ValueError(f"need n >= 2 and t >= 2, got n={n}, t={t}")
@@ -67,7 +68,7 @@ def _check_queries(n: int, t: int, betas) -> np.ndarray:
     if np.any(outside):
         raise ValueError(f"beta={betas[outside][0]} outside admissible "
                          f"[{lo}, {hi}] for n={n}, t={t}")
-    return np.clip(betas, lo, hi)
+    return np.asarray(np.clip(betas, lo, hi))
 
 
 @functools.lru_cache

@@ -234,73 +234,161 @@ class TestInputValidation:
             assert type(res.satisfied) is bool
 
 
-def loop_oracle(rho_ab, alice, bob, alpha):
-    """Oracle: both left-hand sides from per-element loops over each Alice
-    POVM's conditioned ensemble, one Bob distribution per valid outcome."""
-    renyi = maxprob = 0.0
+def sqrt_conditioned_joints(rho_ab, dims, alice, bob):
+    """Oracle: the joint matrices p[j, l] = p_l p(j | rho_Bl), one per Alice
+    POVM, from sqrt(F_l) by eigh, rho_Bl the partial trace over A of
+    (sqrt(F_l) (x) I) rho_AB (sqrt(F_l) (x) I) over its weight p_l, and one
+    Bob distribution per outcome of weight >= 1e-14."""
+    eye_b = np.eye(dims[1])
+    joints = []
     for m, povm in enumerate(alice):
-        ens = conditioned_ensemble(rho_ab, DIMS, povm)
-        joint = np.zeros((bob.n_outcomes, len(ens.weights)))
-        acc = 0.0
-        for ell, (w, rho_b, ok) in enumerate(zip(ens.weights, ens.states,
-                                                 ens.valid)):
-            if ok:
-                probs = outcome_probabilities(bob, m, rho_b)
-                joint[:, ell] = w * probs
-                acc += w * float(np.max(probs))
-        renyi += conditional_renyi_arimoto(joint, alpha)
-        maxprob += acc
-    return renyi / len(alice), maxprob / len(alice)
+        joint = np.zeros((bob.n_outcomes, len(povm)))
+        for ell, f in enumerate(povm):
+            evals, evecs = np.linalg.eigh(f)
+            root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) \
+                @ evecs.conj().T
+            sub = np.kron(root, eye_b) @ rho_ab @ np.kron(root, eye_b)
+            w = float(np.trace(sub).real)
+            if w >= 1e-14:
+                rho_b = partial_trace(sub, dims, "B") / w
+                joint[:, ell] = w * outcome_probabilities(bob, m, rho_b)
+        joints.append(joint)
+    return joints
+
+
+def loop_oracle(rho_ab, dims, alice, bob, alphas):
+    """Both left-hand sides from the square-root conditioning: the Renyi lhs
+    at each alpha and the max-probability lhs, as loops over the POVMs."""
+    joints = sqrt_conditioned_joints(rho_ab, dims, alice, bob)
+    renyi = {alpha: sum(conditional_renyi_arimoto(j, alpha) for j in joints)
+             / len(alice) for alpha in alphas}
+    maxprob = 0.0
+    for joint in joints:
+        for col in joint.T:
+            maxprob += float(np.max(col))
+    return renyi, maxprob / len(alice)
+
+
+def seeded_states(rng, count):
+    """The Bell state, a product state with a zero-weight outcome, and count
+    each of random, separable and Werner two-qubit states."""
+    states = [bell_state(),
+              np.kron(pure_density([1, 0]), maximally_mixed(2))]
+    states += list(random_densities(4, count, rng))
+    states += [random_separable(rng) for _ in range(count)]
+    states += [v * bell_state() + (1 - v) * np.eye(4) / 4
+               for v in rng.uniform(size=count)]
+    return states
+
+
+def random_povm(d, outcomes, rng):
+    """A POVM on C^d: a random rank-1 projector and its complement for two
+    outcomes, else S^(-1/2) A_l S^(-1/2) of random full-rank A_l with
+    S = sum_l A_l."""
+    if outcomes == 2:
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        p = np.outer(v, v.conj()) / np.vdot(v, v).real
+        return [p, np.eye(d) - p]
+    shape = (outcomes, d, d)
+    gs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ops = gs @ gs.conj().swapaxes(-1, -2)
+    evals, evecs = np.linalg.eigh(ops.sum(axis=0))
+    s = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    return [s @ a @ s for a in ops]
+
+
+def octahedron(grouping):
+    return assign_povms(builtin_design("octahedron"),
+                        mub_grouping() if grouping == "mub" else grouping)
 
 
 class TestAgainstLoopOracle:
+    # the assemblage and the square-root conditioning are each within
+    # 1e-15 of the 50-digit oracle, so within 2e-15 of each other
     @pytest.mark.parametrize("grouping", ["mub", "single"])
-    def test_bit_equal_on_seeded_states(self, grouping, rng):
-        bob = assign_povms(builtin_design("octahedron"),
-                           mub_grouping() if grouping == "mub" else grouping)
+    def test_matches_sqrt_conditioning(self, grouping, rng):
+        bob = octahedron(grouping)
         alice = matched_alice_povms(bob)
-        states = [bell_state(),
-                  np.kron(pure_density([1, 0]), maximally_mixed(2))]
-        for _ in range(20):
-            v = rng.uniform()
-            states += [random_density(4, rng), random_separable(rng),
-                       v * bell_state() + (1 - v) * np.eye(4) / 4]
-        for rho_ab in states:
-            for alpha in (3, 5, math.inf):
-                renyi, maxprob = loop_oracle(rho_ab, alice, bob, alpha)
-                assert steering_check_renyi(rho_ab, DIMS, alice, bob,
-                                            alpha).lhs == renyi
-            assert steering_check_maxprob(rho_ab, DIMS, alice,
-                                          bob).lhs == maxprob
+        alphas = (3, 5, math.inf)
+        for rho_ab in seeded_states(rng, 20):
+            renyi, maxprob = loop_oracle(rho_ab, DIMS, alice, bob, alphas)
+            for alpha in alphas:
+                lhs = steering_check_renyi(rho_ab, DIMS, alice, bob, alpha).lhs
+                assert abs(lhs - renyi[alpha]) <= 2e-15, (alpha, lhs)
+            lhs = steering_check_maxprob(rho_ab, DIMS, alice, bob).lhs
+            assert abs(lhs - maxprob) <= 2e-15, lhs
 
 
-def steering_lhs_mp(rho_ab, alice, bob, alpha):
-    """Oracle: the Renyi lhs at 50 digits from the joint distributions
-    p(j, l | m) = tr((F_l (x) E_j) rho_AB), without conditioned_ensemble."""
-    d = bob.design.dimension
-    pairs = [(a, b) for a in range(d) for b in range(d)]
+class TestAssemblage:
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 3)])
+    def test_matches_partial_trace(self, dims, rng):
+        # sigma_l = tr_A((F_l (x) I) rho_AB), and the sigma_l sum to tr_A rho
+        da, db = dims
+        for rho_ab in random_densities(da * db, 20, rng):
+            for outcomes in (2, 3, 4):
+                povm = random_povm(da, outcomes, rng)
+                ens = conditioned_ensemble(rho_ab, dims, povm)
+                assert ens.valid.all()
+                for f, w, st in zip(povm, ens.weights, ens.states):
+                    want = partial_trace(np.kron(f, np.eye(db)) @ rho_ab,
+                                         dims, "B")
+                    np.testing.assert_allclose(w * st, want, atol=1e-14)
+                recon = sum(w * st for w, st in zip(ens.weights, ens.states))
+                np.testing.assert_allclose(
+                    recon, partial_trace(rho_ab, dims, "B"), atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (16,), (4, 4, 1)])
+    def test_state_shape_checked_before_reshape(self, alice, shape):
+        # 16 entries would reshape silently into a two-qubit operator
+        rho_ab = np.eye(4).reshape(shape) / 4
+        with pytest.raises(ValueError, match="dims"):
+            conditioned_ensemble(rho_ab, DIMS, alice[0])
+
+
+def steering_lhs_mp(rho_ab, dims, alice, bob, alphas):
+    """Oracle: the Renyi lhs at each alpha and the max-probability lhs at 50
+    digits from the joint distributions p(j, l | m) = tr((F_l (x) E_j)
+    rho_AB), without conditioned_ensemble."""
+    da, db = dims
+    pairs_a = [(a, b) for a in range(da) for b in range(da)]
+    pairs_b = [(c, g) for c in range(db) for g in range(db)]
 
     def mp(op):
         return [[mpmath.mpc(x) for x in row] for row in op.tolist()]
 
     with mpmath.workdps(50):
         rho = mp(rho_ab)
-        total = mpmath.mpf(0)
+        renyi = dict.fromkeys(alphas, mpmath.mpf(0))
+        maxprob = mpmath.mpf(0)
         for m, povm in enumerate(alice):
             bob_ops = [mp(e) for e in bob.povm_elements(m)]
             # column l: tr((F (x) E) rho) = sum F[a, b] E[c, g] rho[bg, ac]
             cols = [[max(mpmath.re(mpmath.fsum(
-                f[a][b] * e[c][g] * rho[b * d + g][a * d + c]
-                for a, b in pairs for c, g in pairs)), 0) for e in bob_ops]
-                for f in map(mp, povm)]
-            if math.isinf(alpha):
-                total += -mpmath.log(mpmath.fsum(max(c) for c in cols))
-            else:
+                f[a][b] * e[c][g] * rho[b * db + g][a * db + c]
+                for a, b in pairs_a for c, g in pairs_b)), 0)
+                for e in bob_ops] for f in map(mp, povm)]
+            maxprob += mpmath.fsum(max(c) for c in cols)
+            for alpha in alphas:
+                if math.isinf(alpha):
+                    renyi[alpha] += -mpmath.log(mpmath.fsum(max(c)
+                                                            for c in cols))
+                    continue
                 q = mpmath.mpf(alpha)
                 norms = mpmath.fsum(mpmath.fsum(x**q for x in c) ** (1 / q)
                                     for c in cols)
-                total += q / (1 - q) * mpmath.log(norms)
-        return total / len(alice)
+                renyi[alpha] += q / (1 - q) * mpmath.log(norms)
+        return ({alpha: v / len(alice) for alpha, v in renyi.items()},
+                maxprob / len(alice))
+
+
+def assert_near_mp(rho_ab, dims, alice, bob, alphas=(3, 5, math.inf)):
+    """Both checks within 1e-15 of the 50-digit oracle."""
+    renyi, maxprob = steering_lhs_mp(rho_ab, dims, alice, bob, alphas)
+    for alpha in alphas:
+        lhs = steering_check_renyi(rho_ab, dims, alice, bob, alpha).lhs
+        assert abs(lhs - renyi[alpha]) <= 1e-15, (alpha, lhs, renyi[alpha])
+    lhs = steering_check_maxprob(rho_ab, dims, alice, bob).lhs
+    assert abs(lhs - maxprob) <= 1e-15, (lhs, maxprob)
 
 
 class TestAgainstMpmath:
@@ -311,8 +399,22 @@ class TestAgainstMpmath:
         states += [v * bell_state() + (1 - v) * np.eye(4) / 4
                    for v in rng.uniform(size=100)]
         for rho_ab in states:
-            for alpha in (3, math.inf):
-                lhs = steering_check_renyi(rho_ab, DIMS, alice, mub,
-                                           alpha).lhs
-                want = steering_lhs_mp(rho_ab, alice, mub, alpha)
-                assert abs(lhs - want) <= 1e-15, (alpha, lhs, want)
+            assert_near_mp(rho_ab, DIMS, alice, mub)
+
+    def test_single_grouping(self):
+        rng = np.random.default_rng(4058)
+        bob = octahedron("single")
+        alice = matched_alice_povms(bob)
+        for rho_ab in seeded_states(rng, 30):
+            assert_near_mp(rho_ab, DIMS, alice, bob)
+
+    def test_qutrit_alice_with_ragged_povms(self, mub):
+        # Alice on C^3 with POVMs of 3, 2 and 4 outcomes, Bob a qubit
+        rng = np.random.default_rng(4059)
+        dims = (3, 2)
+        alice = [random_povm(3, k, rng) for k in (3, 2, 4)]
+        states = list(random_densities(6, 60, rng))
+        states += [np.kron(random_density(3, rng), random_density(2, rng))
+                   for _ in range(30)]
+        for rho_ab in states:
+            assert_near_mp(rho_ab, dims, alice, mub)
